@@ -14,7 +14,6 @@ import (
 	"repro/internal/eigen"
 	"repro/internal/fm"
 	"repro/internal/graph"
-	"repro/internal/kl"
 	"repro/internal/maxcut"
 	"repro/internal/melo"
 	"repro/internal/partition"
@@ -179,27 +178,6 @@ func BenchmarkProbeBipartition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ProbeBipartition(h, 8, 16, 0.45); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKLRefine measures Kernighan-Lin refinement of a random
-// balanced start.
-func BenchmarkKLRefine(b *testing.B) {
-	g := graph.RandomConnected(200, 600, 3)
-	assign := make([]int, 200)
-	for i := range assign {
-		assign[i] = i % 2
-	}
-	p := partition.MustNew(assign, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := kl.Refine(g, p, kl.Options{MaxPasses: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Cut > res.InitialCut {
-			b.Fatal("KL worsened the cut")
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //	          [-max-netlists N] [-parallelism N] [-grace 30s]
 //	          [-journal-dir DIR] [-max-queue-wait D]
 //	          [-shed-policy none|degrade|reject]
-//	          [-store-dir DIR] [-batch-window D] [-batch-max N]
+//	          [-store-dir DIR]
 //	          [-peer-self URL] [-peers URL,URL,...]
 //	          [-debug-addr 127.0.0.1:8091] [-trace out.jsonl]
 //	          [-trace-ring N] [-trace-chunks N] [-warm-start=true]
@@ -41,17 +41,17 @@
 // restarted daemon serves warm requests by decoding instead of
 // recomputing. Corrupt entries are quarantined on read, never served.
 //
-// -batch-window coalesces concurrent spectrum requests: jobs needing a
-// decomposition of the same netlist and model within the window share
-// one eigensolve sized to the largest request; -batch-max fires a batch
-// early once it holds that many jobs. 0 disables batching.
+// Concurrent jobs needing a decomposition of the same netlist and model
+// share one eigensolve; if it comes out smaller than the largest of
+// them needs, one follow-up solve sized to that job serves the rest.
+// There is nothing to configure.
 //
 // -peers joins a static shard of spectrald instances (comma-separated
 // base URLs) with -peer-self naming this instance's own base URL as the
 // peers spell it. Spectrum lookups route to the instance owning the
 // netlist fingerprint (rendezvous hashing); a dead peer degrades to
-// local compute, never to an error. See DESIGN.md, "Spectrum
-// persistence, batching and sharding".
+// local compute, never to an error. See DESIGN.md, "The spectrum
+// distribution tier: store, coalescing, sharding".
 //
 // POST /v1/netlists/{hash}/delta submits an incremental (ECO) job: the
 // body's delta is applied to the stored base netlist and the result is
@@ -107,8 +107,6 @@ func main() {
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "fail jobs queued longer than this (0 = unbounded)")
 		shedPolicy   = flag.String("shed-policy", "none", "overload response: none|degrade|reject")
 		storeDir     = flag.String("store-dir", "", "persistent spectrum store directory; empty = in-memory cache only")
-		batchWindow  = flag.Duration("batch-window", 0, "coalesce same-netlist spectrum requests for this long (0 = off)")
-		batchMax     = flag.Int("batch-max", 0, "fire a spectrum batch early at this many jobs (0 = 16)")
 		peerSelf     = flag.String("peer-self", "", "this instance's base URL as shard peers spell it (required with -peers)")
 		peers        = flag.String("peers", "", "comma-separated shard peer base URLs; empty = no sharding")
 		debugAddr    = flag.String("debug-addr", "", "diagnostics listen address (pprof, /debug/trace, /debug/report); empty = disabled")
@@ -147,8 +145,6 @@ func main() {
 		maxQueueWait: *maxQueueWait,
 		shedPolicy:   policy,
 		storeDir:     *storeDir,
-		batchWindow:  *batchWindow,
-		batchMax:     *batchMax,
 		peerSelf:     *peerSelf,
 		peers:        peerList,
 		debugAddr:    *debugAddr,
@@ -171,8 +167,6 @@ type config struct {
 	maxQueueWait                   time.Duration
 	shedPolicy                     jobs.ShedPolicy
 	storeDir                       string
-	batchWindow                    time.Duration
-	batchMax                       int
 	peerSelf                       string
 	peers                          []string
 	debugAddr, traceOut            string
@@ -231,8 +225,6 @@ func run(cfg config) error {
 		ShedPolicy:       cfg.shedPolicy,
 		Journal:          jnl,
 		Store:            store,
-		BatchWindow:      cfg.batchWindow,
-		BatchMax:         cfg.batchMax,
 		DisableWarmStart: cfg.noWarmStart,
 	})
 	pool.SetTracer(tracer)

@@ -493,13 +493,13 @@ func (p *Pool) prewarm(hints []journal.SpectrumHint, nets map[string]RestoredNet
 		if p.baseCtx.Err() != nil {
 			return
 		}
-		key := speccache.Key{Hash: h.Hash, Model: h.Model}
-		p.cache.MarkExpected(key)
+		r := specReq{h: rn.Netlist, key: speccache.Key{Hash: h.Hash, Model: h.Model}, model: model, pairs: h.Pairs}
+		p.cache.MarkExpected(r.key)
 		// The tiered fetch means a prewarm against a populated persistent
 		// store repopulates the LRU by decoding, not recomputing — the
 		// zero-recompute warm restart. Remote is excluded: a restart
 		// should not hammer shard peers for work it can do itself.
-		_, hit, err := p.fetchSpectrum(p.baseCtx, rn.Netlist, key, model, h.Pairs, false)
+		_, hit, err := p.fetch(p.baseCtx, r, false, nil, nil)
 		if p.tracer != nil && err == nil && !hit {
 			p.tracer.Add("speccache.prewarmed", 1)
 		}

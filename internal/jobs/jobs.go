@@ -137,12 +137,6 @@ type Status struct {
 	QueueSeconds    float64 `json:"queueSeconds"`
 	SpectrumSeconds float64 `json:"spectrumSeconds"`
 	SolveSeconds    float64 `json:"solveSeconds"`
-	// BatchSeconds is the time this job waited in a spectrum batch
-	// window before its batch fired (a subset of SpectrumSeconds);
-	// BatchMembers is how many jobs shared that batch's decomposition.
-	// Both are zero when batching is disabled.
-	BatchSeconds float64 `json:"batchSeconds,omitempty"`
-	BatchMembers int     `json:"batchMembers,omitempty"`
 	// TimeoutSeconds echoes the request deadline (0 = none).
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
 	// ShedFromD is the originally requested d when overload control
@@ -182,8 +176,6 @@ type Job struct {
 	started                         time.Time
 	finished                        time.Time
 	queueDur, spectrumDur, solveDur time.Duration
-	batchDur                        time.Duration
-	batchMembers                    int
 
 	done chan struct{}
 }
@@ -233,8 +225,6 @@ func (j *Job) Status() Status {
 		QueueSeconds:    j.queueDur.Seconds(),
 		SpectrumSeconds: j.spectrumDur.Seconds(),
 		SolveSeconds:    j.solveDur.Seconds(),
-		BatchSeconds:    j.batchDur.Seconds(),
-		BatchMembers:    j.batchMembers,
 		TimeoutSeconds:  j.req.Timeout.Seconds(),
 		ShedFromD:       j.shedFromD,
 		Restored:        j.restored,
@@ -304,16 +294,6 @@ func (j *Job) finish(res *Result, err error, cancelled bool, now time.Time) Stat
 func (j *Job) recordSpectrum(d time.Duration) {
 	j.mu.Lock()
 	j.spectrumDur = d
-	j.mu.Unlock()
-}
-
-func (j *Job) recordBatch(d time.Duration, members int) {
-	if d < 0 {
-		d = 0
-	}
-	j.mu.Lock()
-	j.batchDur = d
-	j.batchMembers = members
 	j.mu.Unlock()
 }
 

@@ -345,7 +345,7 @@ func TestJobRetention(t *testing.T) {
 }
 
 // The eigensolve is detached from the job that wins the spectrum
-// cache's singleflight (see Pool.spectrum): cancelling the winner
+// cache's singleflight (see Pool.fetch): cancelling the winner
 // mid-flight must not starve a follower waiting on the same
 // decomposition — whichever job ends up computing, the follower
 // finishes Done.
@@ -398,5 +398,121 @@ func TestCancelledWinnerStillFeedsFollower(t *testing.T) {
 	}
 	if st := winner.State(); st != Done && st != Cancelled {
 		t.Errorf("winner finished %s, want done or cancelled", st)
+	}
+}
+
+// equivalenceRequests is the method/kind matrix the concurrent≡serial
+// guarantee is checked against: every clique model, several K values,
+// and an ordering job.
+func equivalenceRequests(h *spectral.Netlist) []Request {
+	return []Request{
+		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.MELO}},
+		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 4, Method: spectral.MELO}},
+		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.SFC}},
+		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.SB}},
+		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.KP}},
+		{Netlist: h, Kind: KindOrder, D: 5},
+	}
+}
+
+func runAll(t *testing.T, p *Pool, reqs []Request) []*Result {
+	t.Helper()
+	jobsOut := make([]*Job, len(reqs))
+	for i, req := range reqs {
+		j, err := p.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobsOut[i] = j
+	}
+	results := make([]*Result, len(reqs))
+	for i, j := range jobsOut {
+		results[i] = waitDone(t, j)
+	}
+	return results
+}
+
+func assertSameResults(t *testing.T, want, got []*Result) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("result count %d != %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.K != g.K || w.NetCut != g.NetCut || w.ScaledCost != g.ScaledCost {
+			t.Errorf("request %d: cut (%d, %g, k=%d) != (%d, %g, k=%d)",
+				i, g.NetCut, g.ScaledCost, g.K, w.NetCut, w.ScaledCost, w.K)
+		}
+		if len(w.Assign) != len(g.Assign) {
+			t.Fatalf("request %d: assign length differs", i)
+		}
+		for m := range w.Assign {
+			if w.Assign[m] != g.Assign[m] {
+				t.Fatalf("request %d: module %d assigned %d concurrent, %d serial", i, m, g.Assign[m], w.Assign[m])
+			}
+		}
+		if len(w.Order) != len(g.Order) {
+			t.Fatalf("request %d: order length differs", i)
+		}
+		for m := range w.Order {
+			if w.Order[m] != g.Order[m] {
+				t.Fatalf("request %d: order[%d] = %d concurrent, %d serial", i, m, g.Order[m], w.Order[m])
+			}
+		}
+	}
+}
+
+// Coalescing must be invisible in the answers: every method and kind
+// produces bit-identical partitions/orderings whether its spectrum came
+// from a shared compute sized to the largest concurrent request or from
+// a one-worker pool that serves each request in turn.
+func TestConcurrentEqualsSerial(t *testing.T) {
+	defer leakCheck(t)()
+	h := testNetlist(t)
+	reqs := equivalenceRequests(h)
+
+	ref := NewPool(Config{Workers: 1, QueueDepth: 16})
+	ref.Start()
+	want := runAll(t, ref, reqs)
+	if err := ref.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	concurrent := NewPool(Config{Workers: len(reqs), QueueDepth: 16})
+	concurrent.Start()
+	defer concurrent.Shutdown(context.Background())
+	got := runAll(t, concurrent, reqs)
+	assertSameResults(t, want, got)
+
+	// The partitioning-specific jobs share at most two eigensolves (one
+	// compute plus one follow-up sized to the largest waiter); KP's
+	// Frankle model is a single request, so exactly one more.
+	if st := concurrent.Stats(); st.Computed < 2 || st.Computed > 3 {
+		t.Errorf("computed %d decompositions, want 2 or 3 (at most two per clique model)", st.Computed)
+	}
+}
+
+// Jobs over different netlists or clique models must not coalesce:
+// each (fingerprint, model) pair gets its own eigensolve.
+func TestIncompatibleJobsDoNotCoalesce(t *testing.T) {
+	defer leakCheck(t)()
+	hA := testNetlist(t)
+	hB, err := spectral.GenerateBenchmark("prim1", 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPool(Config{Workers: 4, QueueDepth: 8})
+	p.Start()
+	defer p.Shutdown(context.Background())
+
+	reqs := []Request{
+		{Netlist: hA, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.MELO}},
+		{Netlist: hA, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.KP}},
+		{Netlist: hB, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.MELO}},
+		{Netlist: hB, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.KP}},
+	}
+	runAll(t, p, reqs)
+	if st := p.Stats(); st.Computed != 4 {
+		t.Errorf("computed = %d, want 4 distinct eigensolves", st.Computed)
 	}
 }

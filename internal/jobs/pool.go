@@ -59,17 +59,6 @@ type Config struct {
 	// entries are written through to it, and LRU evictions spill into
 	// it. The pool does not close it. Default nil (no persistence).
 	Store specstore.Store
-	// BatchWindow, when positive, coalesces concurrent spectrum
-	// requests: a job needing a decomposition waits up to BatchWindow
-	// for other jobs with the same (netlist fingerprint, model) to
-	// arrive, then one decomposition sized to the batch's largest
-	// request (prefix-maximal pairs) serves every member. Default 0
-	// (batching disabled; the cache's singleflight still coalesces
-	// exactly-concurrent computes).
-	BatchWindow time.Duration
-	// BatchMax fires a batch early once it holds this many members.
-	// Default 16 (only meaningful when BatchWindow > 0).
-	BatchMax int
 	// DisableWarmStart makes KindDelta jobs solve cold instead of
 	// seeding the eigensolve from the base netlist's cached spectrum.
 	// Escape hatch and A/B lever; warm results are bit-checked against
@@ -97,9 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 1024
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
 	return c
 }
 
@@ -116,12 +102,6 @@ type Stats struct {
 	QueueDepth, QueueCapacity, Workers        int
 	Cache                                     speccache.Stats
 	QueueWait, Spectrum, Solve                StageStats
-	// Batch aggregates the window wait of jobs that went through a
-	// spectrum batch (zero when batching is disabled).
-	Batch StageStats
-	// Batches counts fired batch windows; BatchedJobs the members they
-	// delivered a decomposition to.
-	Batches, BatchedJobs uint64
 	// Computed counts eigendecompositions this process actually solved
 	// — as opposed to serving from the LRU, the persistent store
 	// (StoreHits) or a shard peer (RemoteHits). A warm restart against
@@ -171,20 +151,15 @@ type Pool struct {
 	shed *shedder
 	lat  latRing
 
-	// batcher coalesces spectrum requests (nil when BatchWindow is 0);
 	// remote, when set via SetRemote before Start, proxies spectrum
 	// lookups to the shard peer owning the fingerprint.
-	batcher *batcher
-	remote  RemoteSpectrum
+	remote RemoteSpectrum
 
 	// Spectrum tier counters (see Stats). Atomic because they are
-	// updated from compute closures and batch fires that run outside
-	// the pool lock.
+	// updated from compute closures that run outside the pool lock.
 	computed     atomic.Uint64
 	storeHits    atomic.Uint64
 	remoteHits   atomic.Uint64
-	batchesFired atomic.Uint64
-	batchedJobs  atomic.Uint64
 	warmAccepted atomic.Uint64
 	warmSeeded   atomic.Uint64
 	warmRejected atomic.Uint64
@@ -206,7 +181,6 @@ type Pool struct {
 	waitAgg       StageStats
 	specAgg       StageStats
 	solveAgg      StageStats
-	batchWaitAgg  StageStats
 }
 
 // NewPool creates a stopped pool; call Start to launch the workers.
@@ -228,21 +202,10 @@ func NewPool(cfg Config) *Pool {
 		// Spill LRU evictions to the persistent tier so capacity pressure
 		// demotes decompositions instead of destroying them.
 		p.cache.SetOnEvict(func(key speccache.Key, e speccache.Entry) {
-			sp, ok := e.Value.(*spectral.Spectrum)
-			if !ok {
-				return
-			}
-			sk := specstore.Key{Hash: key.Hash, Model: key.Model}
-			if cfg.Store.Has(sk, e.Pairs) {
-				return
-			}
-			if data, err := spectral.EncodeSpectrum(sp); err == nil {
-				_ = cfg.Store.Put(sk, specstore.Entry{Pairs: e.Pairs, Data: data})
+			if sp, ok := e.Value.(*spectral.Spectrum); ok && !cfg.Store.Has(specstore.Key(key), e.Pairs) {
+				p.writeThrough(key, sp, false)
 			}
 		})
-	}
-	if cfg.BatchWindow > 0 {
-		p.batcher = newBatcher(p, cfg.BatchWindow, cfg.BatchMax)
 	}
 	return p
 }
@@ -570,9 +533,6 @@ func (p *Pool) Stats() Stats {
 		QueueWait:         p.waitAgg,
 		Spectrum:          p.specAgg,
 		Solve:             p.solveAgg,
-		Batch:             p.batchWaitAgg,
-		Batches:           p.batchesFired.Load(),
-		BatchedJobs:       p.batchedJobs.Load(),
 		Computed:          p.computed.Load(),
 		StoreHits:         p.storeHits.Load(),
 		RemoteHits:        p.remoteHits.Load(),
@@ -668,10 +628,6 @@ func (p *Pool) execute(j *Job) {
 	p.specAgg.TotalSeconds += j.spectrumDur.Seconds()
 	p.solveAgg.Count++
 	p.solveAgg.TotalSeconds += j.solveDur.Seconds()
-	if j.batchMembers > 0 {
-		p.batchWaitAgg.Count++
-		p.batchWaitAgg.TotalSeconds += j.batchDur.Seconds()
-	}
 	j.mu.Unlock()
 	p.mu.Unlock()
 }
@@ -698,48 +654,46 @@ func (p *Pool) runJobIsolated(ctx context.Context, j *Job) (res *Result, err err
 // run executes one job through the façade with spectrum reuse.
 func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 	req := j.req
-	switch req.Kind {
-	case KindOrder:
-		spec := spectral.OrderSpectrumSpec(req.D)
-		sp, hit, err := p.spectrum(ctx, j, spec)
+	if req.Kind == KindDelta {
+		return p.runDelta(ctx, j)
+	}
+	spec := req.Opts.SpectrumSpec()
+	if req.Kind == KindOrder {
+		spec = spectral.OrderSpectrumSpec(req.D)
+	}
+	var (
+		sp  *spectral.Spectrum
+		hit bool
+	)
+	if spec.Needed {
+		t := time.Now()
+		var err error
+		sp, hit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, nil, nil)
+		j.recordSpectrum(time.Since(t))
 		if err != nil {
 			return nil, err
 		}
-		t := time.Now()
+	}
+	t := time.Now()
+	defer func() { j.recordSolve(time.Since(t)) }()
+	if req.Kind == KindOrder {
 		order, err := spectral.OrderModulesWithSpectrum(ctx, req.Netlist, sp, req.D, req.Scheme)
-		j.recordSolve(time.Since(t))
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Order: order, SpectrumCacheHit: hit}, nil
-	case KindDelta:
-		return p.runDelta(ctx, j)
-	default: // KindPartition
-		var (
-			sp  *spectral.Spectrum
-			hit bool
-			err error
-		)
-		if spec := req.Opts.SpectrumSpec(); spec.Needed {
-			sp, hit, err = p.spectrum(ctx, j, spec)
-			if err != nil {
-				return nil, err
-			}
-		}
-		t := time.Now()
-		part, err := spectral.PartitionWithSpectrum(ctx, req.Netlist, sp, req.Opts)
-		j.recordSolve(time.Since(t))
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Assign:           part.Assign,
-			K:                part.K,
-			NetCut:           spectral.NetCut(req.Netlist, part),
-			ScaledCost:       spectral.ScaledCost(req.Netlist, part),
-			SpectrumCacheHit: hit,
-		}, nil
 	}
+	part, err := spectral.PartitionWithSpectrum(ctx, req.Netlist, sp, req.Opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Assign:           part.Assign,
+		K:                part.K,
+		NetCut:           spectral.NetCut(req.Netlist, part),
+		ScaledCost:       spectral.ScaledCost(req.Netlist, part),
+		SpectrumCacheHit: hit,
+	}, nil
 }
 
 // runDelta executes a KindDelta job: partition the mutated netlist with
@@ -769,13 +723,8 @@ func (p *Pool) runDelta(ctx context.Context, j *Job) (*Result, error) {
 	)
 	if spec := req.Opts.SpectrumSpec(); spec.Needed {
 		t := time.Now()
-		pairs := spec.D + 1
-		if n := req.Netlist.NumModules(); pairs > n {
-			pairs = n
-		}
-		baseKey := speccache.Key{Hash: req.BaseHash, Model: spec.Model.String()}
 		var err error
-		baseSp, _, err = p.fetchSpectrum(ctx, req.BaseNetlist, baseKey, spec.Model, pairs, true)
+		baseSp, _, err = p.fetch(ctx, newSpecReq(req.BaseNetlist, req.BaseHash, spec), true, nil, nil)
 		if err != nil {
 			j.recordSpectrum(time.Since(t))
 			return nil, fmt.Errorf("jobs: base spectrum: %w", err)
@@ -785,8 +734,7 @@ func (p *Pool) runDelta(ctx context.Context, j *Job) (*Result, error) {
 			seed = nil
 		}
 		var warm spectral.WarmInfo
-		key := speccache.Key{Hash: req.Hash, Model: spec.Model.String()}
-		sp, hit, err = p.fetchSpectrumSeeded(ctx, req.Netlist, key, spec.Model, pairs, true, seed, &warm)
+		sp, hit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, seed, &warm)
 		j.recordSpectrum(time.Since(t))
 		if err != nil {
 			return nil, err
@@ -838,57 +786,59 @@ func (p *Pool) noteWarm(outcome string) {
 	}
 }
 
-// spectrum fetches (or computes and caches) the decomposition the job
-// needs, going through the batch window when batching is enabled.
-func (p *Pool) spectrum(ctx context.Context, j *Job, spec spectral.SpectrumSpec) (*spectral.Spectrum, bool, error) {
-	t := time.Now()
-	defer func() { j.recordSpectrum(time.Since(t)) }()
-	pairs := spec.D + 1
-	if n := j.req.Netlist.NumModules(); pairs > n {
-		pairs = n
-	}
-	key := speccache.Key{Hash: j.req.Hash, Model: spec.Model.String()}
-	if p.batcher != nil {
-		return p.batcher.fetch(ctx, j, key, spec.Model, pairs)
-	}
-	return p.fetchSpectrum(ctx, j.req.Netlist, key, spec.Model, pairs, true)
+// specReq names one decomposition a job needs: the netlist, its cache
+// key, the clique model, and the eigenpair count (d+1, clamped to the
+// module count).
+type specReq struct {
+	h     *spectral.Netlist
+	key   speccache.Key
+	model spectral.Model
+	pairs int
 }
 
-// fetchSpectrum resolves a decomposition through the tier ladder:
-// in-memory LRU, persistent store, shard peer (when allowRemote), then
-// a local eigensolve sized to pairs. The cache's singleflight wraps the
-// whole ladder, so concurrent requests for one key walk it once. The
-// reported hit covers every tier but the eigensolve: callers learn
-// whether the job skipped its O(d·n²) compute, not which tier paid.
+func newSpecReq(h *spectral.Netlist, hash string, spec spectral.SpectrumSpec) specReq {
+	return specReq{
+		h:     h,
+		key:   speccache.Key{Hash: hash, Model: spec.Model.String()},
+		model: spec.Model,
+		pairs: min(spec.D+1, h.NumModules()),
+	}
+}
+
+// fetch resolves r through the tier ladder: in-memory LRU, persistent
+// store, shard peer (when remote), then a local eigensolve. The cache's
+// singleflight wraps the whole ladder, so concurrent requests for one
+// key walk it once, sized to the largest of them. The reported hit
+// covers every tier but the eigensolve: callers learn whether the job
+// skipped its O(d·n²) compute, not which tier paid.
 //
 // The compute itself runs under the pool's base context, not the
 // caller's: cancelling one job must not poison the shared fetch other
-// jobs may be waiting on; pool shutdown still aborts it.
-func (p *Pool) fetchSpectrum(ctx context.Context, h *spectral.Netlist, key speccache.Key, model spectral.Model, pairs int, allowRemote bool) (*spectral.Spectrum, bool, error) {
-	return p.fetchSpectrumSeeded(ctx, h, key, model, pairs, allowRemote, nil, nil)
-}
-
-// fetchSpectrumSeeded is fetchSpectrum with an optional warm-start
-// seed: when the ladder bottoms out in a local eigensolve and warm is
-// non-nil, the solve goes through the warm-start path using seed (which
+// jobs may be waiting on; pool shutdown still aborts it. When warm is
+// non-nil the compute goes through the warm-start path from seed (which
 // may itself be nil — a deliberate cold run that still reports an
-// outcome) and the outcome lands in *warm. A cache or tier hit leaves
-// *warm untouched: nothing was solved, so no warm outcome happened.
-func (p *Pool) fetchSpectrumSeeded(ctx context.Context, h *spectral.Netlist, key speccache.Key, model spectral.Model, pairs int, allowRemote bool, seed *spectral.Spectrum, warm *spectral.WarmInfo) (*spectral.Spectrum, bool, error) {
-	var tierHit bool
-	entry, hit, err := p.cache.GetOrCompute(ctx, key, pairs, func(cctx context.Context) (speccache.Entry, error) {
-		if sp := p.storeLookup(h, key, pairs); sp != nil {
-			tierHit = true
-			p.storeHits.Add(1)
-			trace.FromContext(cctx).Add("specstore.tier-hits", 1)
-			return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
+// outcome) and the outcome lands in *warm; a tier hit leaves *warm
+// untouched, since nothing was solved.
+func (p *Pool) fetch(ctx context.Context, r specReq, remote bool, seed *spectral.Spectrum, warm *spectral.WarmInfo) (*spectral.Spectrum, bool, error) {
+	computed := false
+	entry, _, err := p.cache.GetOrCompute(ctx, r.key, r.pairs, func(cctx context.Context, pairs int) (speccache.Entry, error) {
+		tr := trace.FromContext(cctx)
+		if p.cfg.Store != nil {
+			if e, ok, err := p.cfg.Store.Get(specstore.Key(r.key)); err == nil && ok && e.Pairs >= pairs {
+				if sp, err := decodeSpectrum(e.Data, r.h, pairs); err == nil {
+					p.storeHits.Add(1)
+					tr.Add("specstore.tier-hits", 1)
+					return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
+				}
+			}
 		}
-		if allowRemote && p.remote != nil {
-			if sp := p.remoteLookup(cctx, h, key, pairs); sp != nil {
-				tierHit = true
-				p.remoteHits.Add(1)
-				trace.FromContext(cctx).Add("shard.remote-hits", 1)
-				return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
+		if remote && p.remote != nil {
+			if data, ok, err := p.remote.Fetch(cctx, r.key.Hash, r.key.Model, pairs); err == nil && ok {
+				if sp, err := decodeSpectrum(data, r.h, pairs); err == nil {
+					p.remoteHits.Add(1)
+					tr.Add("shard.remote-hits", 1)
+					return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
+				}
 			}
 		}
 		// Detach from the caller's cancellation but keep its trace: the
@@ -901,73 +851,57 @@ func (p *Pool) fetchSpectrumSeeded(ctx context.Context, h *spectral.Netlist, key
 		)
 		if warm != nil {
 			var wi spectral.WarmInfo
-			sp, wi, err = spectral.DecomposeWarmCtxPolicy(dctx, h, model, pairs-1, seed, p.cfg.EigenPolicy)
+			sp, wi, err = spectral.DecomposeWarmCtxPolicy(dctx, r.h, r.model, pairs-1, seed, p.cfg.EigenPolicy)
 			if err == nil {
 				*warm = wi
 				p.noteWarm(wi.Outcome)
 			}
 		} else {
-			sp, err = spectral.DecomposeCtxPolicy(dctx, h, model, pairs-1, p.cfg.EigenPolicy)
+			sp, err = spectral.DecomposeCtxPolicy(dctx, r.h, r.model, pairs-1, p.cfg.EigenPolicy)
 		}
 		if err != nil {
 			return speccache.Entry{}, err
 		}
+		computed = true
 		p.computed.Add(1)
-		p.persist(key, sp, allowRemote)
+		p.writeThrough(r.key, sp, remote)
 		return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	if !hit && !tierHit {
+	if computed {
 		// Warm-restart hint: after a crash, replay prewarms this
 		// decomposition so the cache recovers along with the queue.
 		p.appendJournal(journal.Record{
-			Type: journal.TypeSpectrum, Hash: key.Hash, Model: key.Model,
+			Type: journal.TypeSpectrum, Hash: r.key.Hash, Model: r.key.Model,
 			Pairs: entry.Pairs, UnixNS: time.Now().UnixNano(),
 		})
 	}
-	return entry.Value.(*spectral.Spectrum), hit || tierHit, nil
+	return entry.Value.(*spectral.Spectrum), !computed, nil
 }
 
-// storeLookup tries the persistent tier. Any failure — absent key,
-// undersized entry, undecodable payload — is a miss; the compute path
-// repairs the store via write-through.
-func (p *Pool) storeLookup(h *spectral.Netlist, key speccache.Key, pairs int) *spectral.Spectrum {
-	if p.cfg.Store == nil {
-		return nil
-	}
-	e, ok, err := p.cfg.Store.Get(specstore.Key{Hash: key.Hash, Model: key.Model})
-	if err != nil || !ok || e.Pairs < pairs {
-		return nil
-	}
-	sp, err := spectral.DecodeSpectrum(e.Data, h)
-	if err != nil || sp.Pairs() < pairs {
-		return nil
-	}
-	return sp
-}
-
-// remoteLookup asks the shard peer owning the key. A peer that is down,
-// does not own the key, or misses yields nil and the caller computes
-// locally.
-func (p *Pool) remoteLookup(ctx context.Context, h *spectral.Netlist, key speccache.Key, pairs int) *spectral.Spectrum {
-	data, ok, err := p.remote.Fetch(ctx, key.Hash, key.Model, pairs)
-	if err != nil || !ok {
-		return nil
-	}
+// decodeSpectrum decodes an encoded spectrum against h — which rejects
+// a payload for any other netlist — and checks it holds at least pairs
+// eigenpairs. Every byte tier (store, shard peer, adopted push) goes
+// through it, so no payload reaches the LRU unvalidated.
+func decodeSpectrum(data []byte, h *spectral.Netlist, pairs int) (*spectral.Spectrum, error) {
 	sp, err := spectral.DecodeSpectrum(data, h)
-	if err != nil || sp.Pairs() < pairs {
-		return nil
+	if err != nil {
+		return nil, err
 	}
-	return sp
+	if sp.Pairs() < pairs {
+		return nil, fmt.Errorf("payload holds %d pairs, want %d", sp.Pairs(), pairs)
+	}
+	return sp, nil
 }
 
-// persist writes a freshly computed decomposition through to the
-// persistent store and offers it to the shard peer owning its key.
-// Best-effort on both counts: persistence failures cost future
-// recomputes, never correctness.
-func (p *Pool) persist(key speccache.Key, sp *spectral.Spectrum, offer bool) {
+// writeThrough encodes sp once, puts it in the persistent store and,
+// when offer is set, offers it to the shard peer owning its key. The
+// compute path offers; an LRU eviction only demotes. Best-effort on
+// both counts: persistence failures cost future recomputes, never
+// correctness.
+func (p *Pool) writeThrough(key speccache.Key, sp *spectral.Spectrum, offer bool) {
 	offer = offer && p.remote != nil
 	if p.cfg.Store == nil && !offer {
 		return
@@ -977,7 +911,7 @@ func (p *Pool) persist(key speccache.Key, sp *spectral.Spectrum, offer bool) {
 		return
 	}
 	if p.cfg.Store != nil {
-		_ = p.cfg.Store.Put(specstore.Key{Hash: key.Hash, Model: key.Model}, specstore.Entry{Pairs: sp.Pairs(), Data: data})
+		_ = p.cfg.Store.Put(specstore.Key(key), specstore.Entry{Pairs: sp.Pairs(), Data: data})
 	}
 	if offer {
 		p.remote.Offer(key.Hash, key.Model, sp.Pairs(), data)
@@ -1002,7 +936,7 @@ func (p *Pool) SpectrumBytes(hash, model string, pairs int) ([]byte, int, bool) 
 		}
 	}
 	if p.cfg.Store != nil {
-		if e, ok, err := p.cfg.Store.Get(specstore.Key{Hash: hash, Model: model}); err == nil && ok && e.Pairs >= pairs {
+		if e, ok, err := p.cfg.Store.Get(specstore.Key(key)); err == nil && ok && e.Pairs >= pairs {
 			return e.Data, e.Pairs, true
 		}
 	}
@@ -1019,18 +953,16 @@ func (p *Pool) AdoptSpectrum(hash, model string, pairs int, data []byte, h *spec
 	if pairs < 1 || len(data) == 0 {
 		return fmt.Errorf("jobs: adopt spectrum: empty payload")
 	}
+	key := speccache.Key{Hash: hash, Model: model}
 	if h != nil {
-		sp, err := spectral.DecodeSpectrum(data, h)
+		sp, err := decodeSpectrum(data, h, pairs)
 		if err != nil {
 			return fmt.Errorf("jobs: adopt spectrum: %w", err)
 		}
-		if sp.Pairs() < pairs {
-			return fmt.Errorf("jobs: adopt spectrum: payload holds %d pairs, header claims %d", sp.Pairs(), pairs)
-		}
-		p.cache.Seed(speccache.Key{Hash: hash, Model: model}, speccache.Entry{Value: sp, Pairs: sp.Pairs()})
+		p.cache.Seed(key, speccache.Entry{Value: sp, Pairs: sp.Pairs()})
 	}
 	if p.cfg.Store != nil {
-		return p.cfg.Store.Put(specstore.Key{Hash: hash, Model: model}, specstore.Entry{Pairs: pairs, Data: data})
+		return p.cfg.Store.Put(specstore.Key(key), specstore.Entry{Pairs: pairs, Data: data})
 	}
 	return nil
 }

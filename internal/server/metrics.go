@@ -82,10 +82,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("spectrald_specstore_entries", "Entries currently in the persistent store.", ss.Entries)
 	}
 
-	// Request batching (when enabled).
-	counter("spectrald_batches_fired_total", "Spectrum batch windows fired (size or deadline trigger).", st.Batches)
-	counter("spectrald_batched_jobs_total", "Jobs whose decomposition was delivered by a shared batch.", st.BatchedJobs)
-
 	// Shard routing.
 	sh := s.shardStatsSnapshot()
 	if sh.peers > 0 {
@@ -142,7 +138,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		agg   jobs.StageStats
 	}{
 		{"queue", st.QueueWait},
-		{"batch", st.Batch},
 		{"spectrum", st.Spectrum},
 		{"solve", st.Solve},
 	} {

@@ -8,9 +8,10 @@
 //
 // The cache is a strict LRU over entries with singleflight computation:
 // concurrent requests for the same key share one compute instead of
-// racing duplicate eigensolves, and a request that needs more
-// eigenvectors than a cached entry holds recomputes and replaces it
-// (capacities only grow).
+// racing duplicate eigensolves (a request needing more eigenvectors than
+// the in-flight compute produces gets one follow-up sized to the largest
+// waiter), and a request that needs more eigenvectors than a cached
+// entry holds recomputes and replaces it (capacities only grow).
 package speccache
 
 import (
@@ -156,9 +157,11 @@ type slot struct {
 }
 
 // call is one in-flight compute shared by all concurrent requesters of
-// a key.
+// a key. want is the largest pair count any of them needs; it only
+// grows, under Cache.mu, until done closes.
 type call struct {
 	done  chan struct{}
+	want  int
 	entry Entry
 	err   error
 }
@@ -187,12 +190,20 @@ func (c *Cache) SetOnEvict(fn func(Key, Entry)) { c.onEvict = fn }
 // compute (once, shared across concurrent callers of the same key) and
 // caches the result. The second return reports a cache hit.
 //
+// compute is told how many pairs to deliver, which can exceed the
+// caller's own request: a caller that finds a compute already in flight
+// raises that call's want to its pair count and waits. If the call
+// finishes smaller than its largest waiter needs, exactly one follow-up
+// compute runs, sized to that waiter, and serves every undersized
+// waiter — a d-sweep that arrives while one eigensolve runs costs one
+// more, not one per distinct d.
+//
 // compute receives ctx only for cooperative cancellation of the calling
 // request: if ctx is cancelled while waiting on another caller's
 // compute, GetOrCompute returns ctx.Err() immediately but the shared
 // compute keeps running and its result is still cached for the next
 // request. Errors are not cached.
-func (c *Cache) GetOrCompute(ctx context.Context, key Key, pairs int, compute func(context.Context) (Entry, error)) (Entry, bool, error) {
+func (c *Cache) GetOrCompute(ctx context.Context, key Key, pairs int, compute func(ctx context.Context, pairs int) (Entry, error)) (Entry, bool, error) {
 	ctx, span := trace.Start(ctx, "cache.lookup",
 		trace.Str("model", key.Model), trace.Int("pairs", pairs))
 	entry, hit, err := c.getOrCompute(ctx, key, pairs, compute)
@@ -214,66 +225,67 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, pairs int, compute fu
 	return entry, hit, err
 }
 
-func (c *Cache) getOrCompute(ctx context.Context, key Key, pairs int, compute func(context.Context) (Entry, error)) (Entry, bool, error) {
+func (c *Cache) getOrCompute(ctx context.Context, key Key, pairs int, compute func(context.Context, int) (Entry, error)) (Entry, bool, error) {
+	size := pairs
+	c.mu.Lock()
 	for {
-		c.mu.Lock()
 		if el, ok := c.items[key]; ok {
-			s := el.Value.(*slot)
-			if s.entry.Pairs >= pairs {
+			if s := el.Value.(*slot); s.entry.Pairs >= pairs {
 				c.ll.MoveToFront(el)
 				c.hits++
 				entry := s.entry
 				c.mu.Unlock()
 				return entry, true, nil
 			}
-			// Undersized: fall through and recompute at the larger size.
 		}
-		if cl, ok := c.inflight[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-cl.done:
-			case <-ctx.Done():
-				return Entry{}, false, ctx.Err()
-			}
-			if cl.err != nil {
-				return Entry{}, false, cl.err
-			}
-			if cl.entry.Pairs >= pairs {
-				return cl.entry, true, nil
-			}
-			// The shared compute delivered fewer pairs than we need
-			// (e.g. it was started for a smaller request); retry, which
-			// will recompute at our size.
-			continue
+		cl, ok := c.inflight[key]
+		if !ok {
+			break
 		}
-		cl := &call{done: make(chan struct{})}
-		c.inflight[key] = cl
-		c.misses++
-		c.mu.Unlock()
-
-		cl.entry, cl.err = compute(ctx)
-		if cl.err == nil && cl.entry.Pairs < pairs {
-			cl.err = fmt.Errorf("speccache: compute delivered %d pairs, requested %d", cl.entry.Pairs, pairs)
-		}
-
-		c.mu.Lock()
-		delete(c.inflight, key)
-		var spilled []slot
-		if cl.err == nil {
-			spilled = c.store(key, cl.entry)
+		if pairs > cl.want {
+			cl.want = pairs
 		}
 		c.mu.Unlock()
-		close(cl.done)
-		if c.onEvict != nil {
-			for _, s := range spilled {
-				c.onEvict(s.key, s.entry)
-			}
+		select {
+		case <-cl.done:
+		case <-ctx.Done():
+			return Entry{}, false, ctx.Err()
 		}
 		if cl.err != nil {
 			return Entry{}, false, cl.err
 		}
-		return cl.entry, false, nil
+		if cl.entry.Pairs >= pairs {
+			return cl.entry, true, nil
+		}
+		// The call finished smaller than this waiter needs. Whichever
+		// undersized waiter relocks first runs the follow-up at the
+		// largest want the call collected; the others join it.
+		size = max(size, cl.want)
+		c.mu.Lock()
 	}
+	cl := &call{done: make(chan struct{}), want: size}
+	c.inflight[key] = cl
+	c.misses++
+	c.mu.Unlock()
+
+	cl.entry, cl.err = compute(ctx, size)
+	if cl.err == nil && cl.entry.Pairs < size {
+		cl.err = fmt.Errorf("speccache: compute delivered %d pairs, requested %d", cl.entry.Pairs, size)
+	}
+
+	c.mu.Lock()
+	delete(c.inflight, key)
+	var spilled []slot
+	if cl.err == nil {
+		spilled = c.store(key, cl.entry)
+	}
+	c.mu.Unlock()
+	close(cl.done)
+	c.spill(spilled)
+	if cl.err != nil {
+		return Entry{}, false, cl.err
+	}
+	return cl.entry, false, nil
 }
 
 // store inserts or replaces the entry for key and evicts LRU entries
@@ -321,24 +333,6 @@ func (c *Cache) Get(key Key, pairs int) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Peek returns the entry under key when its capacity covers pairs,
-// WITHOUT promoting it in the LRU order or counting a hit or miss. It
-// is the read-only probe the warm-start path uses to look for a seed
-// spectrum: an absent seed is not a cache miss (the delta solve then
-// fetches the base through the full tier ladder), and probing must not
-// perturb the eviction order the real lookups see.
-func (c *Cache) Peek(key Key, pairs int) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		s := el.Value.(*slot)
-		if s.entry.Pairs >= pairs {
-			return s.entry, true
-		}
-	}
-	return Entry{}, false
-}
-
 // Seed inserts an entry obtained elsewhere — a shard peer's push or a
 // persistent-store preload — without running a compute. Capacity rules
 // match GetOrCompute's: an existing larger entry is kept.
@@ -346,10 +340,17 @@ func (c *Cache) Seed(key Key, e Entry) {
 	c.mu.Lock()
 	spilled := c.store(key, e)
 	c.mu.Unlock()
-	if c.onEvict != nil {
-		for _, s := range spilled {
-			c.onEvict(s.key, s.entry)
-		}
+	c.spill(spilled)
+}
+
+// spill hands evicted slots to the onEvict hook. Callers release c.mu
+// first: the hook may do I/O.
+func (c *Cache) spill(spilled []slot) {
+	if c.onEvict == nil {
+		return
+	}
+	for _, s := range spilled {
+		c.onEvict(s.key, s.entry)
 	}
 }
 

@@ -58,8 +58,8 @@ func TestGetOrComputeHitMissAndCapacity(t *testing.T) {
 	c := New(4)
 	key := Key{Hash: "sha256:x", Model: "partitioning-specific"}
 	var computes atomic.Int64
-	compute := func(pairs int) func(context.Context) (Entry, error) {
-		return func(context.Context) (Entry, error) {
+	compute := func(pairs int) func(context.Context, int) (Entry, error) {
+		return func(context.Context, int) (Entry, error) {
 			computes.Add(1)
 			return Entry{Value: pairs, Pairs: pairs}, nil
 		}
@@ -91,7 +91,7 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 	key := Key{Hash: "sha256:y", Model: "frankle"}
 	var computes atomic.Int64
 	release := make(chan struct{})
-	compute := func(context.Context) (Entry, error) {
+	compute := func(context.Context, int) (Entry, error) {
 		computes.Add(1)
 		<-release
 		return Entry{Value: "dec", Pairs: 5}, nil
@@ -126,14 +126,14 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 	c := New(4)
 	key := Key{Hash: "sha256:z", Model: "standard"}
 	var computes atomic.Int64
-	fail := func(context.Context) (Entry, error) {
+	fail := func(context.Context, int) (Entry, error) {
 		computes.Add(1)
 		return Entry{}, fmt.Errorf("solver exploded")
 	}
 	if _, _, err := c.GetOrCompute(context.Background(), key, 3, fail); err == nil {
 		t.Fatal("want error")
 	}
-	ok := func(context.Context) (Entry, error) {
+	ok := func(context.Context, int) (Entry, error) {
 		computes.Add(1)
 		return Entry{Pairs: 3}, nil
 	}
@@ -149,7 +149,7 @@ func TestLRUEviction(t *testing.T) {
 	c := New(2)
 	put := func(hash string) {
 		_, _, err := c.GetOrCompute(context.Background(), Key{Hash: hash}, 1,
-			func(context.Context) (Entry, error) { return Entry{Pairs: 1}, nil })
+			func(context.Context, int) (Entry, error) { return Entry{Pairs: 1}, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestLRUEviction(t *testing.T) {
 	put("a") // refresh a: b becomes LRU
 	put("c") // evicts b
 	if _, hit, _ := c.GetOrCompute(context.Background(), Key{Hash: "a"}, 1,
-		func(context.Context) (Entry, error) { return Entry{Pairs: 1}, nil }); !hit {
+		func(context.Context, int) (Entry, error) { return Entry{Pairs: 1}, nil }); !hit {
 		t.Error("a was evicted, want b")
 	}
 	st := c.Stats()
@@ -177,7 +177,7 @@ func TestWaiterCancellation(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _, _ = c.GetOrCompute(context.Background(), key, 1, func(context.Context) (Entry, error) {
+		_, _, _ = c.GetOrCompute(context.Background(), key, 1, func(context.Context, int) (Entry, error) {
 			close(started)
 			<-release
 			return Entry{Pairs: 1}, nil
@@ -186,7 +186,7 @@ func TestWaiterCancellation(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := c.GetOrCompute(ctx, key, 1, func(context.Context) (Entry, error) {
+	_, _, err := c.GetOrCompute(ctx, key, 1, func(context.Context, int) (Entry, error) {
 		t.Error("second caller must not compute")
 		return Entry{}, nil
 	})
@@ -203,7 +203,7 @@ func TestWaiterCancellation(t *testing.T) {
 //   - a cooperative compute aborts with the winner's ctx error, which
 //     is shared with every follower and never cached (a later request
 //     recomputes), and
-//   - the pool's detached compute (see jobs.Pool.spectrum) ignores the
+//   - the pool's detached compute (see jobs.Pool.fetch) ignores the
 //     winner's cancellation, so the cancelled winner still delivers
 //     the decomposition to its followers and to the cache.
 func TestWinnerCancelledMidFlight(t *testing.T) {
@@ -212,7 +212,7 @@ func TestWinnerCancelledMidFlight(t *testing.T) {
 		key := Key{Hash: "sha256:winner-coop", Model: "standard"}
 		winnerCtx, cancelWinner := context.WithCancel(context.Background())
 		inCompute := make(chan struct{})
-		winnerCompute := func(cctx context.Context) (Entry, error) {
+		winnerCompute := func(cctx context.Context, _ int) (Entry, error) {
 			close(inCompute)
 			<-cctx.Done() // the winning job's cancellation reaches the compute
 			return Entry{}, cctx.Err()
@@ -230,7 +230,7 @@ func TestWinnerCancelledMidFlight(t *testing.T) {
 		// becomes a new winner and computes for itself — both are legal,
 		// neither may hang or observe a cached error.
 		var computes atomic.Int64
-		followerCompute := func(context.Context) (Entry, error) {
+		followerCompute := func(context.Context, int) (Entry, error) {
 			computes.Add(1)
 			return Entry{Value: "fresh", Pairs: 3}, nil
 		}
@@ -272,7 +272,7 @@ func TestWinnerCancelledMidFlight(t *testing.T) {
 		var computes atomic.Int64
 		// The pool's compute: detached from the job's cancellation, it
 		// runs to completion no matter what happens to the winner.
-		detached := func(context.Context) (Entry, error) {
+		detached := func(context.Context, int) (Entry, error) {
 			computes.Add(1)
 			close(inCompute)
 			<-release
@@ -383,7 +383,7 @@ func TestPrefixReuseEdgeCases(t *testing.T) {
 			for si, step := range tc.steps {
 				deliver := step.deliver
 				entry, hit, err := c.GetOrCompute(context.Background(), key, step.request,
-					func(context.Context) (Entry, error) {
+					func(context.Context, int) (Entry, error) {
 						return Entry{Value: si, Pairs: deliver}, nil
 					})
 				if err != nil {
@@ -408,7 +408,7 @@ func TestCapacityNeverShrinks(t *testing.T) {
 	mustCompute := func(request, deliver int) {
 		t.Helper()
 		if _, _, err := c.GetOrCompute(context.Background(), key, request,
-			func(context.Context) (Entry, error) { return Entry{Pairs: deliver}, nil }); err != nil {
+			func(context.Context, int) (Entry, error) { return Entry{Pairs: deliver}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,11 +417,85 @@ func TestCapacityNeverShrinks(t *testing.T) {
 	// cache could serve it; simulate by deleting nothing — request less
 	// than capacity just hits. So grow-then-probe: request 8 hits.
 	entry, hit, err := c.GetOrCompute(context.Background(), key, 3,
-		func(context.Context) (Entry, error) {
+		func(context.Context, int) (Entry, error) {
 			t.Fatal("compute ran despite sufficient cached capacity")
 			return Entry{}, nil
 		})
 	if err != nil || !hit || entry.Pairs != 8 {
 		t.Fatalf("hit=%v pairs=%d err=%v, want hit with capacity 8", hit, entry.Pairs, err)
+	}
+}
+
+// arrivalCtx reports when GetOrCompute first selects on it, which a
+// caller only does once it has joined an in-flight compute and raised
+// that call's want.
+type arrivalCtx struct {
+	context.Context
+	once    sync.Once
+	arrived chan struct{}
+}
+
+func (a *arrivalCtx) Done() <-chan struct{} {
+	a.once.Do(func() { close(a.arrived) })
+	return a.Context.Done()
+}
+
+// TestUndersizedComputeFoldsWaiters: waiters with mixed pair counts
+// pile onto one compute started for a smaller request. When it
+// finishes, exactly one follow-up compute runs, asked for the largest
+// waiter's pair count, and every waiter gets an entry covering its own
+// request.
+func TestUndersizedComputeFoldsWaiters(t *testing.T) {
+	c := New(4)
+	key := Key{Hash: "sha256:fold", Model: "partitioning-specific"}
+	inCompute := make(chan struct{})
+	release := make(chan struct{})
+	winnerDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrCompute(context.Background(), key, 3, func(_ context.Context, pairs int) (Entry, error) {
+			close(inCompute)
+			<-release
+			return Entry{Value: "small", Pairs: pairs}, nil
+		})
+		winnerDone <- err
+	}()
+	<-inCompute
+
+	var mu sync.Mutex
+	var asked []int
+	followUp := func(_ context.Context, pairs int) (Entry, error) {
+		mu.Lock()
+		asked = append(asked, pairs)
+		mu.Unlock()
+		return Entry{Value: "large", Pairs: pairs}, nil
+	}
+	requests := []int{5, 2, 11, 3, 7}
+	entries := make([]Entry, len(requests))
+	errs := make([]error, len(requests))
+	var wg sync.WaitGroup
+	for i, pairs := range requests {
+		ctx := &arrivalCtx{Context: context.Background(), arrived: make(chan struct{})}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			entries[i], _, errs[i] = c.GetOrCompute(ctx, key, pairs, followUp)
+		}()
+		<-ctx.arrived // joined the in-flight call before the next arrives
+	}
+	close(release)
+	wg.Wait()
+	if err := <-winnerDone; err != nil {
+		t.Fatalf("winner: %v", err)
+	}
+	for i, pairs := range requests {
+		if errs[i] != nil || entries[i].Pairs < pairs {
+			t.Errorf("waiter %d (pairs %d): entry=%+v err=%v", i, pairs, entries[i], errs[i])
+		}
+	}
+	if len(asked) != 1 || asked[0] != 11 {
+		t.Errorf("follow-up computes asked for %v, want exactly one for 11 pairs", asked)
+	}
+	if st := c.Stats(); st.Misses != 2 {
+		t.Errorf("misses = %d, want 2 (the undersized compute and one follow-up)", st.Misses)
 	}
 }
