@@ -10,6 +10,7 @@ package spectral
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"testing"
 
@@ -53,11 +54,17 @@ func BenchmarkFigure2(b *testing.B) { runTable(b, experiments.Figure2) }
 // benchPipeline prepares the prim1 instance at the current scale.
 func benchPipeline(b *testing.B, d int) (*graph.Graph, *eigen.Decomposition, *Netlist) {
 	b.Helper()
-	c, err := bench.Lookup("prim1")
+	return benchPipelineOn(b, "prim1", *benchScale, d)
+}
+
+// benchPipelineOn is benchPipeline on a named circuit at a given scale.
+func benchPipelineOn(b *testing.B, circuit string, scale float64, d int) (*graph.Graph, *eigen.Decomposition, *Netlist) {
+	b.Helper()
+	c, err := bench.Lookup(circuit)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := bench.Generate(c.Scaled(*benchScale))
+	h, err := bench.Generate(c.Scaled(scale))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -148,17 +155,31 @@ func BenchmarkMeloOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkDPRP isolates the dynamic-programming splitter.
+// BenchmarkDPRP isolates the dynamic-programming splitter: K=10 on the
+// table-scale prim1, and the K=3 and K=4 splits of full-size prim2
+// (n ≈ 3000, where the block-cost window is widest).
 func BenchmarkDPRP(b *testing.B) {
-	g, dec, h := benchPipeline(b, 10)
-	res, err := melo.Order(g, dec, melo.NewOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dprp.Partition(h, res.Order, dprp.Options{K: 10}); err != nil {
+	for _, c := range []struct {
+		circuit string
+		scale   float64
+		ks      []int
+	}{
+		{"prim1", *benchScale, []int{10}},
+		{"prim2", 1, []int{3, 4}},
+	} {
+		g, dec, h := benchPipelineOn(b, c.circuit, c.scale, 10)
+		res, err := melo.Order(g, dec, melo.NewOptions())
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, k := range c.ks {
+			b.Run(fmt.Sprintf("%s/K=%d", c.circuit, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := dprp.Partition(h, res.Order, dprp.Options{K: k}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/hypergraph"
@@ -51,9 +52,11 @@ type Result struct {
 // E_b counts nets with a pin inside block b and a pin outside it.
 //
 // The dynamic program is dp[t][j] = min over block starts i of
-// dp[t−1][i−1] + E(i,j)/(j−i+1). Block costs are produced incrementally by
-// walking the window start i downward for each block end j, so the total
-// cost is O(n·(W + pins·W/n) + n·k·W) where W = MaxSize−MinSize+1.
+// dp[t−1][i−1] + E(i,j)/(j−i+1). Block costs come from one counter per
+// ordering position, updated by O(1) events per pin as the block end j
+// advances, so E(i,j) for every start i of a block ending at j is one
+// running sum. The total cost is O(pins·log s + n·(MaxSize + k·W)), where
+// s is the largest net size and W = MaxSize−MinSize+1.
 func Partition(h *hypergraph.Hypergraph, order []int, opts Options) (*Result, error) {
 	return PartitionCtx(context.Background(), h, order, opts)
 }
@@ -165,18 +168,41 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, order []int, op
 
 	pos := invert(order)
 	m := h.NumNets()
-	minPos := make([]int, m)
-	maxPos := make([]int, m)
+	pins := h.NumPins()
+	if pins+m > math.MaxInt32 {
+		return nil, fmt.Errorf("dprp: %d pins and %d nets overflow the int32 block-cost counters", pins, m)
+	}
 	// beforeCnt[i]: nets with maxPos < i. afterCnt[j]: nets with
 	// minPos >= j. Used for the O(1) first-block (i = 0) costs, where
 	// span overlap and pin containment coincide.
 	beforeCnt := make([]int, n+1)
 	afterCnt := make([]int, n+1)
-	for e, net := range h.Nets {
-		lo2, hi2 := span(net, pos)
-		minPos[e], maxPos[e] = lo2, hi2
-		beforeCnt[hi2+1]++
-		afterCnt[lo2]++
+	// Block costs for starts i >= 1 come from one counter per ordering
+	// position, kept so that for the current block end j
+	//
+	//	E(i,j) = Σ_{p=i..j} b[p]
+	//	b[p]   = (pins at p whose net's next pin lies beyond j)
+	//	       − (nets whose first pin is at p and last pin is ≤ j).
+	//
+	// b starts as the pin count at each position (entries beyond j are
+	// never read). When j reaches r, the positions in
+	// dec[decStart[r]:decStart[r+1]] each lose one: every pin whose net's
+	// next pin is r, and the first pin of every net whose last pin is r.
+	sorted := make([]int32, pins) // each net's pin positions, sorted
+	b := make([]int32, n)
+	decStart := make([]int32, n+1)
+	off := 0
+	for _, net := range h.Nets {
+		ps := sorted[off : off+len(net)]
+		off += len(net)
+		for t, mod := range net {
+			ps[t] = int32(pos[mod])
+			b[pos[mod]]++
+		}
+		slices.Sort(ps)
+		beforeCnt[ps[len(ps)-1]+1]++
+		afterCnt[ps[0]]++
+		decrements(ps, func(r, _ int32) { decStart[r]++ })
 	}
 	for i := 1; i <= n; i++ {
 		beforeCnt[i] += beforeCnt[i-1]
@@ -184,29 +210,22 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, order []int, op
 	for j := n - 1; j >= 0; j-- {
 		afterCnt[j] += afterCnt[j+1]
 	}
-
-	// netsAtPos[p] lists the nets with a pin at ordering position p;
-	// nextPin[idx] is, for that (position, net) incidence, the smallest
-	// pin position of the same net greater than p (n if none). minStart[p]
-	// lists nets whose minimum pin position is p.
-	netsAtPos := make([][]int, n)
-	minStart := make([][]int, n)
-	for e, net := range h.Nets {
-		for _, mod := range net {
-			p := pos[mod]
-			netsAtPos[p] = append(netsAtPos[p], e)
-		}
-		minStart[minPos[e]] = append(minStart[minPos[e]], e)
+	// Counting sort of the decrements by r: after the running sum,
+	// decStart[r] is the end of r's run; filling each run back to front
+	// leaves decStart[r] at its start.
+	for r := 1; r < n; r++ {
+		decStart[r] += decStart[r-1]
 	}
-	// Per-net sorted pin positions, for next-pin lookups.
-	netPins := make([][]int, m)
-	for e, net := range h.Nets {
-		ps := make([]int, len(net))
-		for i2, mod := range net {
-			ps[i2] = pos[mod]
-		}
-		sortInts(ps)
-		netPins[e] = ps
+	decStart[n] = decStart[n-1]
+	dec := make([]int32, decStart[n])
+	off = 0
+	for _, net := range h.Nets {
+		ps := sorted[off : off+len(net)]
+		off += len(net)
+		decrements(ps, func(r, q int32) {
+			decStart[r]--
+			dec[decStart[r]] = q
+		})
 	}
 
 	const infCost = math.MaxFloat64 / 4
@@ -237,11 +256,12 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, order []int, op
 			dp[1][j] = float64(pinned-contained) / float64(size)
 			parent[1][j] = 0
 		}
+		for _, q := range dec[decStart[j]:decStart[j+1]] {
+			b[q]--
+		}
 		if k >= 2 {
 			// Walk i from j down to the lowest start any block ending at
-			// j may use, maintaining:
-			//   pinned    = # nets with >= 1 pin in [i, j]
-			//   contained = # nets with all pins in [i, j]
+			// j may use, summing E(i,j) as it goes.
 			iLo := j - hi + 1
 			if a := areaILo(j); a > iLo {
 				iLo = a
@@ -249,21 +269,10 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, order []int, op
 			if iLo < 1 {
 				iLo = 1
 			}
-			pinned, contained := 0, 0
+			var e int32
 			for i := j; i >= iLo; i-- {
-				for _, e := range netsAtPos[i] {
-					// Net e gains its first pin in the window iff its next
-					// pin after position i lies beyond j.
-					if nextPinAfter(netPins[e], i) > j {
-						pinned++
-					}
-				}
-				for _, e := range minStart[i] {
-					if maxPos[e] <= j {
-						contained++
-					}
-				}
-				cost[i] = float64(pinned-contained) / float64(j-i+1)
+				e += b[i]
+				cost[i] = float64(e) / float64(j-i+1)
 			}
 			iHi := j - lo + 1
 			if a := areaIHi(j); a < iHi {
@@ -278,8 +287,9 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, order []int, op
 				if iHi >= iLo {
 					cells += int64(iHi - iLo + 1)
 				}
+				prevRow := dp[t-1]
 				for i := iLo; i <= iHi; i++ {
-					prev := dp[t-1][i-1]
+					prev := prevRow[i-1]
 					if prev >= infCost {
 						continue
 					}
@@ -317,34 +327,20 @@ func PartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, order []int, op
 	return &Result{Partition: p, Splits: splits, ScaledCost: sc}, nil
 }
 
-// nextPinAfter returns the smallest element of sorted ps strictly greater
-// than p, or a value larger than any position if none exists.
-func nextPinAfter(ps []int, p int) int {
-	lo, hi := 0, len(ps)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ps[mid] <= p {
-			lo = mid + 1
-		} else {
-			hi = mid
+// decrements calls visit(r, q) once for every decrement of counter b[q]
+// that DP-RP applies when the block end reaches r, for one net with
+// sorted pin positions ps: each pin expires at its net's next pin
+// position (a repeated position expires once per pin), and the net
+// closes at its last pin, at its first pin position.
+func decrements(ps []int32, visit func(r, q int32)) {
+	visit(ps[len(ps)-1], ps[0])
+	next := int32(-1)
+	for t := len(ps) - 1; t >= 0; t-- {
+		if t+1 < len(ps) && ps[t+1] > ps[t] {
+			next = ps[t+1]
 		}
-	}
-	if lo == len(ps) {
-		return int(^uint(0) >> 1) // MaxInt
-	}
-	return ps[lo]
-}
-
-func sortInts(a []int) {
-	// Insertion sort: net sizes are small; avoids pulling in sort for the
-	// hot path.
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
+		if next >= 0 {
+			visit(next, ps[t])
 		}
-		a[j+1] = v
 	}
 }

@@ -94,8 +94,8 @@ type Request struct {
 // Result is the output of a finished job.
 type Result struct {
 	// Assign and K hold the partitioning of a KindPartition job.
-	Assign []int `json:"assign,omitempty"`
-	K      int   `json:"k,omitempty"`
+	Assign Labels `json:"assign,omitempty"`
+	K      int    `json:"k,omitempty"`
 	// NetCut and ScaledCost evaluate the partitioning.
 	NetCut     int     `json:"netCut,omitempty"`
 	ScaledCost float64 `json:"scaledCost,omitempty"`

@@ -688,7 +688,7 @@ func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 		return nil, err
 	}
 	return &Result{
-		Assign:           part.Assign,
+		Assign:           packLabels(part.Assign),
 		K:                part.K,
 		NetCut:           spectral.NetCut(req.Netlist, part),
 		ScaledCost:       spectral.ScaledCost(req.Netlist, part),
@@ -754,7 +754,7 @@ func (p *Pool) runDelta(ctx context.Context, j *Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Assign, res.K = part.Assign, part.K
+	res.Assign, res.K = packLabels(part.Assign), part.K
 	res.NetCut = spectral.NetCut(req.Netlist, part)
 	res.ScaledCost = spectral.ScaledCost(req.Netlist, part)
 	res.SpectrumCacheHit = hit

@@ -208,6 +208,9 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 	res := &Result{Order: make([]int, 0, n), Objective: make([]float64, 0, n), H: make([]float64, 0, n), D: d, Scheme: opts.Scheme}
 
 	weights := make([]float64, d) // (H − λ_j), refreshed when H changes
+	// normSq[i] = ‖y_i‖² under the current weights. It depends only on
+	// H, so it is refreshed with the weights instead of per candidate.
+	normSq := make([]float64, n)
 	refreshWeights := func() {
 		for j := 0; j < d; j++ {
 			w := H - lam[j]
@@ -216,26 +219,30 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 			}
 			weights[j] = w
 		}
+		for i, row := range u {
+			var s float64
+			for j, v := range row {
+				s += weights[j] * v * v
+			}
+			normSq[i] = s
+		}
 	}
 	refreshWeights()
 
-	normSqUnder := func(row []float64) float64 {
-		var s float64
-		for j, v := range row {
-			s += weights[j] * v * v
-		}
-		return s
-	}
+	// wp[j] = weights[j]·p[j], folded once per scan by prepScan. Go
+	// evaluates weights[j]*p[j]*v as (weights[j]*p[j])*v, so dotUnder's
+	// scores are bitwise those of the unfolded product.
+	wp := make([]float64, d)
 	dotUnder := func(row []float64) float64 {
 		var s float64
 		for j, v := range row {
-			s += weights[j] * p[j] * v
+			s += wp[j] * v
 		}
 		return s
 	}
 
 	score := func(i int, first bool, yNorm float64) float64 {
-		ns := normSqUnder(u[i])
+		ns := normSq[i]
 		if first {
 			// Seed with the largest vector (the strongest global
 			// signal); all schemes agree on the seed.
@@ -263,10 +270,12 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 			return 2*dot + ns
 		}
 	}
-	yNorm := func() float64 {
+	// prepScan folds wp for the coming scan and returns ‖Y_S‖.
+	prepScan := func() float64 {
 		yNormSq := 0.0
 		for j := 0; j < d; j++ {
-			yNormSq += weights[j] * p[j] * p[j]
+			wp[j] = weights[j] * p[j]
+			yNormSq += wp[j] * p[j]
 		}
 		return math.Sqrt(yNormSq)
 	}
@@ -285,7 +294,7 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 	shards := make([]shardBest, parallel.NumChunks(workers, n, scanGrain))
 	pickAll := func(first bool) int {
 		evals += int64(n - placedN)
-		yn := yNorm()
+		yn := prepScan()
 		parallel.For(workers, n, scanGrain, func(ch, lo, hi int) {
 			b := shardBest{idx: -1, s: math.Inf(-1)}
 			for i := lo; i < hi; i++ {
@@ -323,7 +332,7 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 	refreshCandidates := func() {
 		evals += int64(n - placedN)
 		w := opts.CandidateWindow
-		yn := yNorm()
+		yn := prepScan()
 		// Score every unplaced vector in parallel (disjoint writes, one
 		// serial evaluation per candidate: worker-invariant), then rank
 		// serially so the sort sees identical input at every setting.
@@ -371,7 +380,7 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 	}
 	pickWindow := func() int {
 		evals += int64(len(candidates))
-		yn := yNorm()
+		yn := prepScan()
 		best := -1
 		bestScore := math.Inf(-1)
 		for _, i := range candidates {

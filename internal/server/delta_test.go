@@ -110,8 +110,8 @@ func TestDeltaEndpointEndToEnd(t *testing.T) {
 	if res.NetCut != spectral.NetCut(mut, cold) {
 		t.Errorf("delta cut %d != cold cut %d", res.NetCut, spectral.NetCut(mut, cold))
 	}
-	for i := range res.Assign {
-		if res.Assign[i] != cold.Assign[i] {
+	for i, c := range res.Assign.Ints() {
+		if c != cold.Assign[i] {
 			t.Fatalf("delta assign differs from cold at module %d", i)
 		}
 	}

@@ -105,12 +105,13 @@ func TestTwoInstanceShardSharesSpectra(t *testing.T) {
 	if !strings.Contains(metricsText(t, tsB), "spectrald_spectrum_computed_total 0") {
 		t.Error("B /metrics does not report zero computed decompositions")
 	}
-	if len(finalA.Result.Assign) != len(finalB.Result.Assign) {
+	assignA, assignB := finalA.Result.Assign.Ints(), finalB.Result.Assign.Ints()
+	if len(assignA) != len(assignB) {
 		t.Fatal("assignment lengths differ across instances")
 	}
-	for i := range finalA.Result.Assign {
-		if finalA.Result.Assign[i] != finalB.Result.Assign[i] {
-			t.Fatalf("module %d: A assigned %d, B assigned %d", i, finalA.Result.Assign[i], finalB.Result.Assign[i])
+	for i := range assignA {
+		if assignA[i] != assignB[i] {
+			t.Fatalf("module %d: A assigned %d, B assigned %d", i, assignA[i], assignB[i])
 		}
 	}
 
