@@ -6,6 +6,7 @@ package spectral
 // adaptive-H / clique-model ablations.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -48,7 +49,7 @@ func BenchmarkAblationVKP(b *testing.B) {
 	})
 	b.Run("vkp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := VectorPartition(h, 4, 10)
+			p, err := PartitionCtx(context.Background(), h, Options{K: 4, D: 10, Method: VKP})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -127,7 +128,7 @@ func BenchmarkHypercubePartition(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := HypercubePartition(h, 3); err != nil {
+		if _, err := PartitionCtx(context.Background(), h, Options{K: 8, Method: HL}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -410,7 +410,7 @@ func buildGraph(n int) *graph.Graph {
 }
 
 func mustPartition(h *hypergraph.Hypergraph, m spectral.Method, workers int) {
-	if _, err := spectral.Partition(h, spectral.Options{K: 2, Method: m, Parallelism: workers}); err != nil {
+	if _, err := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: 2, Method: m, Parallelism: workers}); err != nil {
 		fatal(err)
 	}
 }

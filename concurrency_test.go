@@ -79,7 +79,7 @@ func TestOrderModulesCtxConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			order, err := OrderModulesCtx(context.Background(), h, 4+i%3, i%2)
+			order, err := OrderModulesWithSpectrum(context.Background(), h, nil, 4+i%3, i%2)
 			if err != nil {
 				errs <- fmt.Errorf("order %d: %w", i, err)
 				return
@@ -108,7 +108,7 @@ func TestOrderModulesCtxConcurrent(t *testing.T) {
 // across goroutines — the reuse path must be read-only.
 func TestPartitionWithSpectrumConcurrent(t *testing.T) {
 	h := smallBenchmark(t)
-	sp, err := Decompose(h, ModelPartitioningSpecific, 10)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

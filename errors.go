@@ -67,7 +67,7 @@ func wrapPipelineErr(m Method, fallback resilience.Stage, err error) error {
 // ValidateNetlist checks a netlist before it enters the pipeline: it
 // must have at least one module, structurally valid nets (sorted,
 // deduplicated, >= 2 in-range pins each) and finite positive module
-// areas. Partition and OrderModules run this automatically; it is
+// areas. Every façade entry point runs this automatically; it is
 // exported for callers that parse untrusted netlists and want the check
 // without a full run.
 func ValidateNetlist(h *Netlist) error {

@@ -5,6 +5,7 @@ package spectral_test
 // verify their output.
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -12,9 +13,9 @@ import (
 	spectral "repro"
 )
 
-// ExamplePartition shows the canonical pipeline: build a netlist,
+// ExamplePartitionCtx shows the canonical pipeline: build a netlist,
 // partition it with MELO, inspect the metrics.
-func ExamplePartition() {
+func ExamplePartitionCtx() {
 	// A tiny netlist: two triangles bridged by one net.
 	src := `net t1 a b
 net t2 b c
@@ -28,7 +29,7 @@ net bridge c d
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := spectral.Partition(h, spectral.Options{K: 2, Method: spectral.MELO, D: 3, MinFrac: 0.5})
+	p, err := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: 2, Method: spectral.MELO, D: 3, MinFrac: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,14 +40,15 @@ net bridge c d
 	// sizes: [3 3]
 }
 
-// ExampleOrderModules exposes the raw MELO ordering for custom splits.
-func ExampleOrderModules() {
+// ExampleOrderModulesWithSpectrum exposes the raw MELO ordering for
+// custom splits; a nil spectrum computes the decomposition on the spot.
+func ExampleOrderModulesWithSpectrum() {
 	src := "net a m0 m1\nnet b m1 m2\nnet c m2 m3\n"
 	_, h, err := spectral.LoadNetlist(strings.NewReader(src))
 	if err != nil {
 		log.Fatal(err)
 	}
-	order, err := spectral.OrderModules(h, 2, 0)
+	order, err := spectral.OrderModulesWithSpectrum(context.Background(), h, nil, 2, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

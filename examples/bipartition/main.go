@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	}
 	fmt.Printf("%-22s %-8s %-10s %s\n", "method", "cut", "ratio cut", "sizes")
 	for _, v := range variants {
-		p, err := spectral.Partition(h, v.opts)
+		p, err := spectral.PartitionCtx(context.Background(), h, v.opts)
 		if err != nil {
 			log.Fatalf("%s: %v", v.label, err)
 		}

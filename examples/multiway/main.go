@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	for _, k := range []int{2, 4, 8} {
 		fmt.Printf("%-4d", k)
 		for _, m := range methods {
-			p, err := spectral.Partition(h, spectral.Options{K: k, Method: m})
+			p, err := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: k, Method: m})
 			if err != nil {
 				log.Fatalf("%v k=%d: %v", m, k, err)
 			}

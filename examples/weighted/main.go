@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 	fmt.Printf("circuit test03 (scaled): %d modules, %d nets, total area %.1f\n\n",
 		h.NumModules(), h.NumNets(), h.TotalArea())
 
-	order, err := spectral.OrderModules(h, 10, 0)
+	order, err := spectral.OrderModulesWithSpectrum(context.Background(), h, nil, 10, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,23 +1,23 @@
 package spectral
 
 // This file exposes the extension systems built around the core
-// reproduction: direct vector k-partitioning (the paper's closing
-// research direction), hierarchical clustering, spectral lower bounds,
-// the Hendrickson–Leland 2^d-way partitioner, and the Frankle–Karp probe
-// bipartitioner.
+// reproduction: hierarchical clustering, spectral lower bounds, the
+// Frankle–Karp probe bipartitioner, and the vector instance it shares
+// with direct vector k-partitioning (Method VKP, the paper's closing
+// research direction).
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bounds"
 	"repro/internal/cluster"
 	"repro/internal/eigen"
 	"repro/internal/graph"
-	"repro/internal/hl"
 	"repro/internal/linalg"
 	"repro/internal/probe"
+	"repro/internal/resilience"
 	"repro/internal/vecpart"
-	"repro/internal/vkp"
 )
 
 // ClusterTree is a hierarchical clustering of a netlist (see Cluster).
@@ -31,45 +31,17 @@ func Cluster(h *Netlist, leafSize int) (*ClusterTree, error) {
 	return cluster.Build(h, cluster.Options{LeafSize: leafSize, Model: graph.PartitioningSpecific})
 }
 
-// VectorPartition partitions the netlist with the direct vector
-// k-partitioning heuristic: grow all k clusters simultaneously in the
-// d-dimensional vector space, maximizing Σ_h ‖Y_h‖², then refine with
-// single-vector moves. This is the "more sophisticated vector
-// partitioning heuristics" direction the paper's conclusion proposes.
-func VectorPartition(h *Netlist, k, d int) (*Partitioning, error) {
-	if d <= 0 {
-		d = 10
-	}
-	g, dec, err := decompose(h, graph.PartitioningSpecific, d)
-	if err != nil {
-		return nil, err
-	}
-	return vectorPartitionFrom(g, dec, k, d)
-}
-
-// vectorPartitionFrom is the decomposition-to-partitioning half of
-// VectorPartition, shared with the main pipeline's VKP dispatch (which
-// brings its own context, eigensolver policy and reusable spectrum).
-func vectorPartitionFrom(g *graph.Graph, dec *eigen.Decomposition, k, d int) (*Partitioning, error) {
-	used := d
-	if used > dec.D()-1 {
-		used = dec.D() - 1
-	}
+// vectorInstance builds the paper's max-sum vector instance from up to d
+// non-trivial eigenvectors: the trivial one is skipped and the rest are
+// scaled with the truncation-balanced H.
+func vectorInstance(g *graph.Graph, dec *eigen.Decomposition, d int) (*vecpart.Vectors, error) {
+	used := min(d, dec.D()-1)
 	if used < 1 {
 		return nil, fmt.Errorf("spectral: netlist too small for vector partitioning")
 	}
-	// Skip the trivial eigenvector; scale with the truncation-balanced H.
 	trimmed := trimTrivial(dec, used)
 	H := vecpart.ChooseH(g.TotalDegree(), append([]float64{0}, trimmed.Values...), g.N())
-	v, err := vecpart.FromDecomposition(trimmed, used, vecpart.MaxSum, H)
-	if err != nil {
-		return nil, err
-	}
-	res, err := vkp.Partition(v, vkp.Options{K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Partition, nil
+	return vecpart.FromDecomposition(trimmed, used, vecpart.MaxSum, H)
 }
 
 // trimTrivial drops the first (constant) eigenpair and keeps d pairs.
@@ -87,17 +59,6 @@ func trimTrivial(dec *eigen.Decomposition, d int) *eigen.Decomposition {
 	}
 }
 
-// HypercubePartition runs the Hendrickson–Leland style partitioner: d
-// non-trivial eigenvectors produce 2^d balanced clusters via recursive
-// median splits.
-func HypercubePartition(h *Netlist, d int) (*Partitioning, error) {
-	_, dec, err := decompose(h, graph.PartitioningSpecific, d)
-	if err != nil {
-		return nil, err
-	}
-	return hl.Partition(dec, d)
-}
-
 // ProbeBipartition runs the Frankle–Karp probe-vector bipartitioner on
 // the netlist's vector instance: probes directions in d-space, rounds
 // each to the best-projecting bipartition, keeps the best.
@@ -108,17 +69,11 @@ func ProbeBipartition(h *Netlist, d, probes int, minFrac float64) (*Partitioning
 	if minFrac <= 0 {
 		minFrac = 0.45
 	}
-	g, dec, err := decompose(h, graph.PartitioningSpecific, d)
+	sp, _, err := decompose(context.TODO(), h, ModelPartitioningSpecific, d, nil, resilience.EigenPolicy{})
 	if err != nil {
 		return nil, err
 	}
-	used := d
-	if used > dec.D()-1 {
-		used = dec.D() - 1
-	}
-	trimmed := trimTrivial(dec, used)
-	H := vecpart.ChooseH(g.TotalDegree(), append([]float64{0}, trimmed.Values...), g.N())
-	v, err := vecpart.FromDecomposition(trimmed, used, vecpart.MaxSum, H)
+	v, err := vectorInstance(sp.g, sp.dec, d)
 	if err != nil {
 		return nil, err
 	}

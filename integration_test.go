@@ -5,6 +5,7 @@ package spectral
 // metrics they report.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -77,7 +78,7 @@ func clusterPurity(p *Partitioning, k, size int) float64 {
 func TestIntegrationAllMethodsRecoverPlantedBipartition(t *testing.T) {
 	h := plantedNetlist(t, 2, 24, 1)
 	for _, m := range []Method{MELO, SB, RSB, KP, SFC, Placement} {
-		p, err := Partition(h, Options{K: 2, Method: m})
+		p, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -95,11 +96,16 @@ func TestIntegrationAllMethodsRecoverPlantedBipartition(t *testing.T) {
 func TestIntegrationMultiwayMethodsRecoverPlanted(t *testing.T) {
 	k, size := 4, 16
 	h := plantedNetlist(t, k, size, 3)
+	flat := func(m Method) func() (*Partitioning, error) {
+		return func() (*Partitioning, error) {
+			return PartitionCtx(context.Background(), h, Options{K: k, Method: m})
+		}
+	}
 	methods := map[string]func() (*Partitioning, error){
-		"melo": func() (*Partitioning, error) { return Partition(h, Options{K: k, Method: MELO}) },
-		"rsb":  func() (*Partitioning, error) { return Partition(h, Options{K: k, Method: RSB}) },
-		"kp":   func() (*Partitioning, error) { return Partition(h, Options{K: k, Method: KP}) },
-		"vkp":  func() (*Partitioning, error) { return VectorPartition(h, k, 10) },
+		"melo": flat(MELO),
+		"rsb":  flat(RSB),
+		"kp":   flat(KP),
+		"vkp":  flat(VKP),
 		"cluster-flatten": func() (*Partitioning, error) {
 			tree, err := Cluster(h, size)
 			if err != nil {
@@ -146,11 +152,11 @@ func TestIntegrationRefinementChain(t *testing.T) {
 	// parsed text input; each stage must report consistent metrics.
 	h := plantedNetlist(t, 4, 12, 5)
 	for _, k := range []int{2, 4} {
-		plain, err := Partition(h, Options{K: k, Method: MELO})
+		plain, err := PartitionCtx(context.Background(), h, Options{K: k, Method: MELO})
 		if err != nil {
 			t.Fatal(err)
 		}
-		refined, err := Partition(h, Options{K: k, Method: MELO, Refine: true})
+		refined, err := PartitionCtx(context.Background(), h, Options{K: k, Method: MELO, Refine: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +175,7 @@ func TestIntegrationBoundsBracketHeuristics(t *testing.T) {
 	// Donath–Hoffman lower bound <= clique-model F of any heuristic
 	// partition with matching sizes.
 	h := plantedNetlist(t, 2, 20, 7)
-	p, err := Partition(h, Options{K: 2, Method: MELO, MinFrac: 0.5})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MELO, MinFrac: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +199,11 @@ func TestIntegrationOrderingStability(t *testing.T) {
 	// input produce identical orderings and partitions.
 	h1 := plantedNetlist(t, 3, 10, 11)
 	h2 := plantedNetlist(t, 3, 10, 11)
-	o1, err := OrderModules(h1, 6, 0)
+	o1, err := OrderModulesWithSpectrum(context.Background(), h1, nil, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := OrderModules(h2, 6, 0)
+	o2, err := OrderModulesWithSpectrum(context.Background(), h2, nil, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

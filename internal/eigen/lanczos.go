@@ -127,8 +127,11 @@ func (o *LanczosOptions) withDefaults(n, d int) LanczosOptions {
 // copies are found only via the invariant-subspace restart (exact
 // degeneracy with a proper invariant subspace, e.g. disconnected graphs).
 // For spectra with exactly degenerate interior eigenvalues (highly
-// symmetric graphs such as cycles), use BlockKrylov, which resolves
-// multiplicities up to its block width directly.
+// symmetric graphs such as cycles), BlockKrylov resolves multiplicities
+// up to its block width directly — but only when called explicitly: no
+// production path or resilience-ladder rung uses it yet, so the
+// pipeline's solves carry this limitation (ROADMAP.md's repeated-
+// eigenvalues item plans the rung).
 //
 // The operator must be symmetric; this is not checked (a full check would
 // be as expensive as the solve for sparse operators).

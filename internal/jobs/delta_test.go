@@ -50,7 +50,7 @@ func TestDeltaJobMatchesColdPartition(t *testing.T) {
 	}
 	res := waitDone(t, j)
 
-	cold, err := spectral.Partition(mut, opts)
+	cold, err := spectral.PartitionCtx(context.Background(), mut, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDeltaJobAcceptsAreaOnlySeed(t *testing.T) {
 	if st := p.Stats(); st.WarmAccepted != 1 {
 		t.Errorf("WarmAccepted = %d, want 1", st.WarmAccepted)
 	}
-	cold, err := spectral.Partition(mut, opts)
+	cold, err := spectral.PartitionCtx(context.Background(), mut, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDeltaJobDisableWarmStart(t *testing.T) {
 	if st := p.Stats(); st.WarmCold != 1 || st.WarmAccepted+st.WarmSeeded+st.WarmRejected != 0 {
 		t.Errorf("warm counters %+v, want exactly one cold", st)
 	}
-	cold, err := spectral.Partition(mut, opts)
+	cold, err := spectral.PartitionCtx(context.Background(), mut, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDeltaJournalReplay(t *testing.T) {
 	if res.Stability == nil || res.BaseHash == "" {
 		t.Fatalf("replayed delta result incomplete: %+v", res)
 	}
-	cold, err := spectral.Partition(mut, opts)
+	cold, err := spectral.PartitionCtx(context.Background(), mut, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 // Package jobs is the execution engine of the spectrald daemon: a
 // bounded FIFO queue feeding a fixed worker pool, with per-job
-// cooperative cancellation wired into the façade's PartitionCtx /
-// OrderModulesCtx pipeline (and through it the internal/resilience
-// eigensolver ladder), and a content-addressed spectrum cache
-// (internal/speccache) so repeated requests against the same netlist
-// reuse one eigendecomposition across methods, K values and d-sweeps.
+// cooperative cancellation wired into the façade's
+// DecomposeWarmCtxPolicy / PartitionWithSpectrum /
+// OrderModulesWithSpectrum pipeline (and through it the
+// internal/resilience eigensolver ladder), and a content-addressed
+// spectrum cache (internal/speccache) so repeated requests against the
+// same netlist reuse one eigendecomposition across methods, K values
+// and d-sweeps.
 //
 // Lifecycle: a submitted job is pending until a worker picks it up,
 // running while the pipeline executes, and ends done, failed or

@@ -47,9 +47,12 @@ type Config struct {
 	// them (see Restore). Default nil (no durability).
 	Journal *journal.Journal
 	// EigenPolicy configures the eigensolver resilience ladder for the
-	// pool's decompositions; the zero value selects the library
+	// pool's spectrum fetches — the decompositions computed behind the
+	// spectrum cache — only; the zero value selects the library
 	// defaults. The chaos harness injects deterministic fault plans
-	// through it.
+	// through it. Solves inside the partition step itself (the rsb,
+	// placement, barnes and mlmelo methods, which cannot reuse a
+	// cached spectrum) run under the library's default ladder.
 	EigenPolicy resilience.EigenPolicy
 	// CompactEvery is the number of journaled terminal transitions
 	// between automatic journal compactions. Default 1024.
@@ -617,9 +620,8 @@ func (p *Pool) execute(j *Job) {
 		jspan.Annotate(trace.Str("error", err.Error()))
 	}
 	jspan.End()
-	st := j.finish(res, err, cancelled, time.Now())
-	j.cancel()
-	p.journalFinish(j, st, res, err)
+	// Aggregate the stage times before finish wakes Done waiters, so a
+	// caller woken by Done reads Stats that already count this job.
 	p.mu.Lock()
 	j.mu.Lock()
 	p.waitAgg.Count++
@@ -630,6 +632,9 @@ func (p *Pool) execute(j *Job) {
 	p.solveAgg.TotalSeconds += j.solveDur.Seconds()
 	j.mu.Unlock()
 	p.mu.Unlock()
+	st := j.finish(res, err, cancelled, time.Now())
+	j.cancel()
+	p.journalFinish(j, st, res, err)
 }
 
 // runJobIsolated runs the job's work with panic isolation: a panic that
@@ -814,11 +819,10 @@ func newSpecReq(h *spectral.Netlist, hash string, spec spectral.SpectrumSpec) sp
 //
 // The compute itself runs under the pool's base context, not the
 // caller's: cancelling one job must not poison the shared fetch other
-// jobs may be waiting on; pool shutdown still aborts it. When warm is
-// non-nil the compute goes through the warm-start path from seed (which
-// may itself be nil — a deliberate cold run that still reports an
-// outcome) and the outcome lands in *warm; a tier hit leaves *warm
-// untouched, since nothing was solved.
+// jobs may be waiting on; pool shutdown still aborts it. Every compute
+// goes through the warm-start entry; a nil seed is a plain cold solve.
+// When warm is non-nil the outcome lands in *warm (a nil seed reports
+// "cold"); a tier hit leaves *warm untouched, since nothing was solved.
 func (p *Pool) fetch(ctx context.Context, r specReq, remote bool, seed *spectral.Spectrum, warm *spectral.WarmInfo) (*spectral.Spectrum, bool, error) {
 	computed := false
 	entry, _, err := p.cache.GetOrCompute(ctx, r.key, r.pairs, func(cctx context.Context, pairs int) (speccache.Entry, error) {
@@ -845,22 +849,13 @@ func (p *Pool) fetch(ctx context.Context, r specReq, remote bool, seed *spectral
 		// decompose spans nest under this job's cache.lookup span even
 		// though the compute outlives the job on purpose.
 		dctx := trace.Adopt(p.baseCtx, cctx)
-		var (
-			sp  *spectral.Spectrum
-			err error
-		)
-		if warm != nil {
-			var wi spectral.WarmInfo
-			sp, wi, err = spectral.DecomposeWarmCtxPolicy(dctx, r.h, r.model, pairs-1, seed, p.cfg.EigenPolicy)
-			if err == nil {
-				*warm = wi
-				p.noteWarm(wi.Outcome)
-			}
-		} else {
-			sp, err = spectral.DecomposeCtxPolicy(dctx, r.h, r.model, pairs-1, p.cfg.EigenPolicy)
-		}
+		sp, wi, err := spectral.DecomposeWarmCtxPolicy(dctx, r.h, r.model, pairs-1, seed, p.cfg.EigenPolicy)
 		if err != nil {
 			return speccache.Entry{}, err
+		}
+		if warm != nil {
+			*warm = wi
+			p.noteWarm(wi.Outcome)
 		}
 		computed = true
 		p.computed.Add(1)

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -294,7 +295,7 @@ func mlmeloRunner(k int) func(e *caseEnv) (*runResult, error) {
 		if k > e.h.NumModules() {
 			return nil, nil
 		}
-		p, err := spectral.Partition(e.h, spectral.Options{
+		p, err := spectral.PartitionCtx(context.Background(), e.h, spectral.Options{
 			K: k, Method: spectral.MultilevelMELO, CoarsenThreshold: 4,
 		})
 		if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestOrderingByteIdentical: same seed and same parallelism must give a
-// byte-identical ordering from OrderModulesCtx — the regression gate
+// byte-identical ordering from OrderModulesWithSpectrum — the regression gate
 // for any future kernel change that would sneak order-sensitive float
 // accumulation into the pipeline (the graph-degree map-order bug this
 // suite originally caught).
@@ -18,12 +18,12 @@ func TestOrderingByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := spectral.OrderModulesCtx(context.Background(), h, 6, 0)
+		ref, err := spectral.OrderModulesWithSpectrum(context.Background(), h, nil, 6, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 3; trial++ {
-			order, err := spectral.OrderModulesCtx(context.Background(), h, 6, 0)
+			order, err := spectral.OrderModulesWithSpectrum(context.Background(), h, nil, 6, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,12 +47,12 @@ func TestPartitionRunToRunStable(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		opts := spectral.Options{K: 4, Method: spectral.MELO, Parallelism: par}
-		ref, err := spectral.Partition(h, opts)
+		ref, err := spectral.PartitionCtx(context.Background(), h, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 3; trial++ {
-			p, err := spectral.Partition(h, opts)
+			p, err := spectral.PartitionCtx(context.Background(), h, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,12 +80,12 @@ func TestBenchmarkPartitionParallelismInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{2, 4} {
-			ref, err := spectral.Partition(h, spectral.Options{K: k, Method: spectral.MELO, Parallelism: 1})
+			ref, err := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: k, Method: spectral.MELO, Parallelism: 1})
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", name, k, err)
 			}
 			for _, par := range []int{2, 4, 8} {
-				p, err := spectral.Partition(h, spectral.Options{K: k, Method: spectral.MELO, Parallelism: par})
+				p, err := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: k, Method: spectral.MELO, Parallelism: par})
 				if err != nil {
 					t.Fatalf("%s K=%d parallelism %d: %v", name, k, par, err)
 				}

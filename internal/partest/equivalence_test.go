@@ -335,12 +335,12 @@ func TestPartitionParallelismEquivalence(t *testing.T) {
 		{spectral.HL, 4},
 	}
 	for _, tc := range cases {
-		ref, err := spectral.Partition(h, spectral.Options{K: tc.k, Method: tc.method, Parallelism: 1})
+		ref, err := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: tc.k, Method: tc.method, Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%v/K=%d serial: %v", tc.method, tc.k, err)
 		}
 		for _, w := range []int{2, 4} {
-			p, err := spectral.Partition(h, spectral.Options{K: tc.k, Method: tc.method, Parallelism: w})
+			p, err := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: tc.k, Method: tc.method, Parallelism: w})
 			if err != nil {
 				t.Fatalf("%v/K=%d parallelism %d: %v", tc.method, tc.k, w, err)
 			}
@@ -360,12 +360,12 @@ func TestPartitionParallelismEquivalence(t *testing.T) {
 func TestDisconnectedComponentsParallelism(t *testing.T) {
 	// Three islands: two random blobs and one isolated module.
 	islands := DisconnectedNetlist(1, RandomNetlist(60, 120, 4, 5), RandomNetlist(40, 80, 4, 6))
-	ref, err := spectral.Partition(islands, spectral.Options{K: 3, Method: spectral.MELO, Parallelism: 1})
+	ref, err := spectral.PartitionCtx(context.Background(), islands, spectral.Options{K: 3, Method: spectral.MELO, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		p, err := spectral.Partition(islands, spectral.Options{K: 3, Method: spectral.MELO, Parallelism: w})
+		p, err := spectral.PartitionCtx(context.Background(), islands, spectral.Options{K: 3, Method: spectral.MELO, Parallelism: w})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", w, err)
 		}
@@ -377,20 +377,20 @@ func TestDisconnectedComponentsParallelism(t *testing.T) {
 	}
 }
 
-// TestOrderModulesProcessDefaultEquivalence: OrderModulesCtx uses the
+// TestOrderModulesProcessDefaultEquivalence: OrderModulesWithSpectrum uses the
 // process-wide parallel.Limit; changing the limit must not change the
 // ordering.
 func TestOrderModulesProcessDefaultEquivalence(t *testing.T) {
 	defer parallel.SetLimit(0)
 	h := RandomNetlist(180, 400, 5, 71)
 	parallel.SetLimit(1)
-	ref, err := spectral.OrderModulesCtx(context.Background(), h, 8, 0)
+	ref, err := spectral.OrderModulesWithSpectrum(context.Background(), h, nil, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4} {
 		parallel.SetLimit(w)
-		order, err := spectral.OrderModulesCtx(context.Background(), h, 8, 0)
+		order, err := spectral.OrderModulesWithSpectrum(context.Background(), h, nil, 8, 0)
 		if err != nil {
 			t.Fatalf("limit %d: %v", w, err)
 		}

@@ -1,6 +1,7 @@
 package partest
 
 import (
+	"context"
 	"testing"
 
 	spectral "repro"
@@ -23,12 +24,12 @@ func TestMultilevelParallelismEquivalence(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		for _, seed := range []int64{3, 19} {
 			h := RandomNetlist(180, 380, 5, seed)
-			ref, err := spectral.Partition(h, mlOptions(k, 1))
+			ref, err := spectral.PartitionCtx(context.Background(), h, mlOptions(k, 1))
 			if err != nil {
 				t.Fatalf("K=%d seed %d serial: %v", k, seed, err)
 			}
 			for _, w := range workerLevels[1:] {
-				p, err := spectral.Partition(h, mlOptions(k, w))
+				p, err := spectral.PartitionCtx(context.Background(), h, mlOptions(k, w))
 				if err != nil {
 					t.Fatalf("K=%d seed %d workers %d: %v", k, seed, w, err)
 				}
@@ -48,12 +49,12 @@ func TestMultilevelParallelismEquivalence(t *testing.T) {
 // time) anywhere in matching, contraction or refinement.
 func TestMultilevelRunToRunStable(t *testing.T) {
 	h := RandomNetlist(200, 420, 5, 41)
-	ref, err := spectral.Partition(h, mlOptions(2, 0))
+	ref, err := spectral.PartitionCtx(context.Background(), h, mlOptions(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		p, err := spectral.Partition(h, mlOptions(2, 0))
+		p, err := spectral.PartitionCtx(context.Background(), h, mlOptions(2, 0))
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -79,7 +80,7 @@ func TestMultilevelInvariantsOnSeededNetlists(t *testing.T) {
 	for seed := int64(1); seed <= 26; seed++ {
 		h := RandomNetlist(60+int(seed)*2, 130+int(seed)*4, 5, 500+seed)
 		for _, k := range []int{2, 3} {
-			p, err := spectral.Partition(h, mlOptions(k, 0))
+			p, err := spectral.PartitionCtx(context.Background(), h, mlOptions(k, 0))
 			if err != nil {
 				t.Fatalf("seed %d K=%d: %v", seed, k, err)
 			}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -103,7 +104,7 @@ func TestDeltaEndpointEndToEnd(t *testing.T) {
 	if res.WarmStart == "" || res.BaseHash != baseHash || res.Stability == nil || res.Reach == nil {
 		t.Fatalf("delta result incomplete: %+v", res)
 	}
-	cold, err := spectral.Partition(mut, spectral.Options{K: 2, Method: spectral.MELO})
+	cold, err := spectral.PartitionCtx(context.Background(), mut, spectral.Options{K: 2, Method: spectral.MELO})
 	if err != nil {
 		t.Fatal(err)
 	}

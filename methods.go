@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/dprp"
 	"repro/internal/graph"
-	"repro/internal/melo"
 	"repro/internal/multilevel"
 	"repro/internal/recbis"
 	"repro/internal/resilience"
@@ -169,37 +167,11 @@ func (pl *pipeline) partitionMultilevelMELO(h *Netlist) (*Partitioning, error) {
 // (BestBalancedSplitAreas) rather than count-balanced — a count balance
 // over coarse modules would say nothing about the fine netlist.
 func (pl *pipeline) coarsestMELO(h *Netlist) (*Partitioning, error) {
-	g, dec, err := pl.decompose(h, graph.PartitioningSpecific, pl.o.D)
+	order, err := pl.meloOrder(h)
 	if err != nil {
 		return nil, err
 	}
-	pl.enter(resilience.StageOrdering)
-	mo := melo.NewOptions()
-	mo.D = pl.o.D
-	mo.Scheme = melo.Scheme(pl.o.Scheme)
-	mo.Workers = pl.o.Parallelism
-	res, err := melo.OrderCtx(pl.ctx, g, dec, mo)
-	if err != nil {
-		return nil, err
-	}
-	pl.enter(resilience.StageSplit)
-	if pl.o.K == 2 {
-		var split dprp.SplitResult
-		if h.HasAreas() {
-			split, err = dprp.BestBalancedSplitAreas(h, res.Order, pl.o.MinFrac)
-		} else {
-			split, err = dprp.BestBalancedSplit(h, res.Order, pl.o.MinFrac)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return split.Partition, nil
-	}
-	dp, err := dprp.PartitionCtx(pl.ctx, h, res.Order, dprp.Options{K: pl.o.K})
-	if err != nil {
-		return nil, err
-	}
-	return dp.Partition, nil
+	return pl.split(h, order, h.HasAreas())
 }
 
 // partitionRecursiveBisection shares the decomposition across all

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestMethodRegistryComplete(t *testing.T) {
 func TestMultilevelMELOPartitions(t *testing.T) {
 	h := smallBenchmark(t)
 	for _, k := range []int{2, 4} {
-		p, err := Partition(h, Options{K: k, Method: MultilevelMELO, CoarsenThreshold: 8})
+		p, err := PartitionCtx(context.Background(), h, Options{K: k, Method: MultilevelMELO, CoarsenThreshold: 8})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -57,11 +58,11 @@ func TestMultilevelMELOMatchesFlatObjective(t *testing.T) {
 	// small instance its cut should land in the same ballpark (within 2x),
 	// not at a random-partition level.
 	h := smallBenchmark(t)
-	flat, err := Partition(h, Options{K: 2, Method: MELO})
+	flat, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MELO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := Partition(h, Options{K: 2, Method: MultilevelMELO, CoarsenThreshold: 16})
+	ml, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MultilevelMELO, CoarsenThreshold: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestMultilevelMELOMatchesFlatObjective(t *testing.T) {
 func TestRecursiveBisectionPartitions(t *testing.T) {
 	h := smallBenchmark(t)
 	for _, k := range []int{2, 3, 5} {
-		p, err := Partition(h, Options{K: k, Method: RecursiveBisection})
+		p, err := PartitionCtx(context.Background(), h, Options{K: k, Method: RecursiveBisection})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -91,7 +92,7 @@ func TestRecursiveBisectionPartitions(t *testing.T) {
 
 func TestTwoVectorTripartitionPartitions(t *testing.T) {
 	h := smallBenchmark(t)
-	p, err := Partition(h, Options{K: 3, Method: TwoVectorTripartition})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 3, Method: TwoVectorTripartition})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestTwoVectorTripartitionPartitions(t *testing.T) {
 			t.Fatalf("cluster %d empty", c)
 		}
 	}
-	if _, err := Partition(h, Options{K: 2, Method: TwoVectorTripartition}); err == nil {
+	if _, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: TwoVectorTripartition}); err == nil {
 		t.Error("TwoVectorTripartition with K=2 accepted")
 	}
 }
@@ -124,14 +125,14 @@ func TestNewMethodSpectrumSpecs(t *testing.T) {
 
 func TestMultilevelOptionValidation(t *testing.T) {
 	h := smallBenchmark(t)
-	if _, err := Partition(h, Options{K: 2, Method: MultilevelMELO, CoarsenThreshold: -1}); err == nil {
+	if _, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MultilevelMELO, CoarsenThreshold: -1}); err == nil {
 		t.Error("negative CoarsenThreshold accepted")
 	}
-	if _, err := Partition(h, Options{K: 2, Method: MultilevelMELO, MaxLevels: -1}); err == nil {
+	if _, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MultilevelMELO, MaxLevels: -1}); err == nil {
 		t.Error("negative MaxLevels accepted")
 	}
 	// RefinePasses < 0 is the documented "disable refinement" setting.
-	if _, err := Partition(h, Options{K: 2, Method: MultilevelMELO, RefinePasses: -1}); err != nil {
+	if _, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MultilevelMELO, RefinePasses: -1}); err != nil {
 		t.Errorf("RefinePasses = -1 rejected: %v", err)
 	}
 }

@@ -43,7 +43,7 @@ func TestPartitionFaultInjectionLadder(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pol := faultPolicy(tc.plan)
-			p, err := partitionCtxWithPolicy(context.Background(), h, Options{K: 4, Method: MELO, D: 3}, pol)
+			p, err := runPartition(context.Background(), h, nil, Options{K: 4, Method: MELO, D: 3}, pol)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestPartitionEigenvectorDegradation(t *testing.T) {
 	h := smallBenchmark(t)
 	pol := faultPolicy(&resilience.FaultPlan{StallAttempts: []int{1, 2, 3}, StallConverged: 3})
 	pol.NoDenseFallback = true
-	p, err := partitionCtxWithPolicy(context.Background(), h, Options{K: 4, Method: MELO, D: 5}, pol)
+	p, err := runPartition(context.Background(), h, nil, Options{K: 4, Method: MELO, D: 5}, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPartitionLadderExhausted(t *testing.T) {
 	h := smallBenchmark(t)
 	pol := faultPolicy(&resilience.FaultPlan{FailAttempts: []int{1, 2, 3, 4}})
 	pol.NoDenseFallback = true
-	p, err := partitionCtxWithPolicy(context.Background(), h, Options{K: 4, Method: MELO, D: 3}, pol)
+	p, err := runPartition(context.Background(), h, nil, Options{K: 4, Method: MELO, D: 3}, pol)
 	if p != nil {
 		t.Fatal("got a partitioning despite total eigensolver failure")
 	}
@@ -123,7 +123,7 @@ func TestOrderModulesCtxCancelled(t *testing.T) {
 	h := smallBenchmark(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := OrderModulesCtx(ctx, h, 3, 1); !errors.Is(err, context.Canceled) {
+	if _, err := OrderModulesWithSpectrum(ctx, h, nil, 3, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
@@ -152,7 +152,7 @@ func disconnectedNetlist(t *testing.T, groups ...int) *Netlist {
 func TestPartitionDisconnectedNetlist(t *testing.T) {
 	h := disconnectedNetlist(t, 8, 8)
 	for _, m := range []Method{MELO, SB, RSB} {
-		p, err := Partition(h, Options{K: 2, Method: m, D: 3})
+		p, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: m, D: 3})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -165,7 +165,7 @@ func TestPartitionDisconnectedNetlist(t *testing.T) {
 
 func TestPartitionDisconnectedUnevenComponents(t *testing.T) {
 	h := disconnectedNetlist(t, 12, 5, 3)
-	p, err := Partition(h, Options{K: 3, Method: MELO, D: 4})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 3, Method: MELO, D: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPartitionZeroWeightNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []Method{MELO, SB, RSB} {
-		p, err := Partition(h, Options{K: 2, Method: m, D: 2})
+		p, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: m, D: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -225,14 +225,14 @@ func TestOptionsValidation(t *testing.T) {
 		{K: 2, MinFrac: -0.1},
 	}
 	for _, o := range bad {
-		_, err := Partition(h, o)
+		_, err := PartitionCtx(context.Background(), h, o)
 		var pe *PipelineError
 		if !errors.As(err, &pe) || pe.Stage != "validate" {
 			t.Fatalf("%+v: got %v, want validate-stage PipelineError", o, err)
 		}
 	}
 	// The zero value still means "defaults", not "invalid".
-	if _, err := Partition(h, Options{}); err != nil {
+	if _, err := PartitionCtx(context.Background(), h, Options{}); err != nil {
 		t.Fatalf("zero-value options rejected: %v", err)
 	}
 }

@@ -10,7 +10,7 @@
 // pipeline is
 //
 //	h, _ := spectral.GenerateBenchmark("prim1", 1.0)   // or LoadNetlist
-//	p, _ := spectral.Partition(h, spectral.Options{K: 4, Method: spectral.MELO})
+//	p, _ := spectral.PartitionCtx(context.Background(), h, spectral.Options{K: 4, Method: spectral.MELO})
 //	fmt.Println(spectral.NetCut(h, p), spectral.ScaledCost(h, p))
 //
 // See the examples/ directory for runnable programs and cmd/experiments
@@ -44,6 +44,7 @@ import (
 	"repro/internal/sb"
 	"repro/internal/sfc"
 	"repro/internal/trace"
+	"repro/internal/vkp"
 )
 
 // Netlist is a circuit hypergraph: modules connected by multi-pin nets.
@@ -72,7 +73,7 @@ const (
 	// substitute; k = 2 only).
 	Placement
 	// VKP is the direct vector k-partitioning heuristic (the paper's
-	// proposed future-work direction; see VectorPartition).
+	// proposed future-work direction).
 	VKP
 	// Barnes is Barnes' transportation-rounded k-way algorithm [7].
 	Barnes
@@ -181,18 +182,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Partition partitions the netlist into opts.K clusters with the selected
-// method.
-func Partition(h *Netlist, opts Options) (*Partitioning, error) {
-	return PartitionCtx(context.Background(), h, opts)
-}
-
-// PartitionCtx is Partition with cooperative cancellation: a cancelled
-// or expired ctx aborts the pipeline at the next iteration boundary of
-// whatever stage is running (eigensolver step, ordering insertion, DP
-// column) and returns ctx.Err() unwrapped, so errors.Is(err,
-// context.Canceled) and errors.Is(err, context.DeadlineExceeded) work
-// directly.
+// PartitionCtx partitions the netlist into opts.K clusters with the
+// selected method. A cancelled or expired ctx aborts the pipeline at the
+// next iteration boundary of whatever stage is running (eigensolver
+// step, ordering insertion, DP column) and returns ctx.Err() unwrapped,
+// so errors.Is(err, context.Canceled) and errors.Is(err,
+// context.DeadlineExceeded) work directly.
 //
 // Any other failure is returned as a *PipelineError attributing the
 // fault to its pipeline stage; panics in any stage are recovered into
@@ -202,40 +197,31 @@ func Partition(h *Netlist, opts Options) (*Partitioning, error) {
 // before it fails. Whatever path was taken, a nil error guarantees the
 // returned partitioning is a complete, in-range K-way assignment.
 func PartitionCtx(ctx context.Context, h *Netlist, opts Options) (*Partitioning, error) {
-	return partitionCtxWithPolicy(ctx, h, opts, resilience.EigenPolicy{})
+	return runPartition(ctx, h, nil, opts, resilience.EigenPolicy{})
 }
 
-// partitionCtxWithPolicy is the pipeline entry behind PartitionCtx;
-// tests inject an EigenPolicy carrying a FaultPlan to force specific
-// ladder rungs end to end.
-func partitionCtxWithPolicy(ctx context.Context, h *Netlist, opts Options, pol resilience.EigenPolicy) (_ *Partitioning, retErr error) {
+// runPartition is the body behind PartitionCtx and PartitionWithSpectrum:
+// sp, when non-nil, is offered to the pipeline for reuse, and tests
+// inject an EigenPolicy carrying a FaultPlan to force specific ladder
+// rungs end to end.
+func runPartition(ctx context.Context, h *Netlist, sp *Spectrum, opts Options, pol resilience.EigenPolicy) (*Partitioning, error) {
 	o := opts.withDefaults()
-	if err := ValidateNetlist(h); err != nil {
-		return nil, &PipelineError{Stage: string(resilience.StageValidate), Method: o.Method, Err: err}
-	}
-	if err := validateOptions(h, opts, o); err != nil {
-		return nil, &PipelineError{Stage: string(resilience.StageValidate), Method: o.Method, Err: err}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, rspan := trace.Start(ctx, "partition",
-		trace.Str("method", o.Method.String()), trace.Int("k", o.K),
-		trace.Int("d", o.D), trace.Int("n", h.NumModules()))
-	pl := &pipeline{ctx: ctx, root: ctx, o: o, pol: pol, stage: resilience.StageCliqueModel}
-	defer func() {
-		pl.closeStage()
-		if retErr != nil {
-			rspan.Annotate(trace.Str("error", retErr.Error()))
-		}
-		rspan.End()
-	}()
-	p, err := pl.run(h)
+	pl := &pipeline{o: o, pol: pol, sp: sp}
+	var p *Partitioning
+	err := pl.guard(ctx, h, "partition",
+		[]trace.Attr{trace.Str("method", o.Method.String()), trace.Int("k", o.K), trace.Int("d", o.D)},
+		func() error { return validateOptions(h, opts, o) },
+		func() (err error) {
+			if p, err = pl.run(h); err != nil {
+				return err
+			}
+			if err := checkPartitioning(h, p, o.K); err != nil {
+				return &PipelineError{Stage: string(pl.stage), Method: o.Method, Err: err}
+			}
+			return nil
+		})
 	if err != nil {
-		return nil, wrapPipelineErr(o.Method, pl.stage, err)
-	}
-	if err := checkPartitioning(h, p, o.K); err != nil {
-		return nil, &PipelineError{Stage: string(pl.stage), Method: o.Method, Err: err}
+		return nil, err
 	}
 	return p, nil
 }
@@ -250,9 +236,11 @@ type pipeline struct {
 	stage resilience.Stage
 	// root is the context carrying the run's root trace span; each
 	// stage span derives from it (stages are siblings, not a chain).
-	// span is the currently open stage span, nil when tracing is off.
-	root context.Context
-	span *trace.Span
+	// span is the currently open stage span and rspan the root span
+	// itself; both are nil when tracing is off.
+	root  context.Context
+	span  *trace.Span
+	rspan *trace.Span
 	// sp, when non-nil, is a precomputed decomposition offered for
 	// reuse; decompose consults it before solving (see
 	// PartitionWithSpectrum).
@@ -307,36 +295,53 @@ func (pl *pipeline) protect(fn func() error) (err error) {
 	return fn()
 }
 
+// guard is the one hardened prologue every façade operation runs
+// through: netlist validation, the operation's own argument check, a
+// pre-cancelled ctx, the root trace span op (attrs plus the module
+// count), panic recovery, and *PipelineError attribution labelled with
+// pl.o.Method. Context errors pass through unwrapped. body runs with
+// pl bound to the span's context.
+func (pl *pipeline) guard(ctx context.Context, h *Netlist, op string, attrs []trace.Attr, check, body func() error) (retErr error) {
+	if err := ValidateNetlist(h); err != nil {
+		return &PipelineError{Stage: string(resilience.StageValidate), Method: pl.o.Method, Err: err}
+	}
+	if err := check(); err != nil {
+		return &PipelineError{Stage: string(resilience.StageValidate), Method: pl.o.Method, Err: err}
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	ctx, rspan := trace.Start(ctx, op, append(attrs, trace.Int("n", h.NumModules()))...)
+	pl.ctx, pl.root, pl.rspan, pl.stage = ctx, ctx, rspan, resilience.StageCliqueModel
+	defer func() {
+		pl.closeStage()
+		if retErr != nil {
+			rspan.Annotate(trace.Str("error", retErr.Error()))
+		}
+		rspan.End()
+	}()
+	err := pl.protect(body)
+	return wrapPipelineErr(pl.o.Method, pl.stage, err)
+}
+
 func (pl *pipeline) run(h *Netlist) (*Partitioning, error) {
-	var p *Partitioning
-	err := pl.protect(func() error {
-		var err error
-		p, err = pl.dispatch(h)
+	p, err := pl.dispatch(h)
+	if err != nil || !pl.o.Refine {
+		return p, err
+	}
+	pl.enter(resilience.StageRefine)
+	if pl.o.K == 2 {
+		res, err := fm.Refine(h, p, fm.Options{MinFrac: pl.o.MinFrac})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if pl.o.Refine {
-			pl.enter(resilience.StageRefine)
-			if pl.o.K == 2 {
-				res, err := fm.Refine(h, p, fm.Options{MinFrac: pl.o.MinFrac})
-				if err != nil {
-					return err
-				}
-				p = res.Partition
-			} else {
-				res, err := fm.RefineKWay(h, p, fm.KWayOptions{})
-				if err != nil {
-					return err
-				}
-				p = res.Partition
-			}
-		}
-		return nil
-	})
+		return res.Partition, nil
+	}
+	res, err := fm.RefineKWay(h, p, fm.KWayOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return res.Partition, nil
 }
 
 // dispatch routes the run to its method's pipeline via the method
@@ -353,16 +358,6 @@ func (pl *pipeline) dispatch(h *Netlist) (*Partitioning, error) {
 func (pl *pipeline) partitionRSB(h *Netlist) (*Partitioning, error) {
 	pl.enter(resilience.StageSplit)
 	return rsb.PartitionCtx(pl.ctx, h, rsb.Options{K: pl.o.K, Model: graph.PartitioningSpecific})
-}
-
-// decompose is the context-free decomposition used by the extension
-// entry points (extensions.go); it shares the resilience ladder and
-// per-component handling with the main pipeline.
-func decompose(h *Netlist, model graph.CliqueModel, d int) (*graph.Graph, *eigen.Decomposition, error) {
-	ctx := context.Background()
-	pl := &pipeline{ctx: ctx, root: ctx, o: Options{}.withDefaults(), stage: resilience.StageCliqueModel}
-	defer pl.closeStage()
-	return pl.decompose(h, model, d)
 }
 
 // decompose builds the clique-model graph and its d+1 smallest Laplacian
@@ -491,6 +486,16 @@ func (pl *pipeline) solveComponents(g *graph.Graph, want int) (*eigen.Decomposit
 }
 
 func (pl *pipeline) partitionMELO(h *Netlist) (*Partitioning, error) {
+	order, err := pl.meloOrder(h)
+	if err != nil {
+		return nil, err
+	}
+	return pl.split(h, order, false)
+}
+
+// meloOrder decomposes h (or reuses the offered spectrum) and runs the
+// MELO ordering with the run's D, Scheme and worker budget.
+func (pl *pipeline) meloOrder(h *Netlist) ([]int, error) {
 	g, dec, err := pl.decompose(h, graph.PartitioningSpecific, pl.o.D)
 	if err != nil {
 		return nil, err
@@ -504,15 +509,25 @@ func (pl *pipeline) partitionMELO(h *Netlist) (*Partitioning, error) {
 	if err != nil {
 		return nil, err
 	}
+	return res.Order, nil
+}
+
+// split cuts an ordering into the run's K clusters: the best balanced
+// split for K = 2 (area-balanced when byArea), DP-RP otherwise.
+func (pl *pipeline) split(h *Netlist, order []int, byArea bool) (*Partitioning, error) {
 	pl.enter(resilience.StageSplit)
 	if pl.o.K == 2 {
-		split, err := dprp.BestBalancedSplit(h, res.Order, pl.o.MinFrac)
+		best := dprp.BestBalancedSplit
+		if byArea {
+			best = dprp.BestBalancedSplitAreas
+		}
+		res, err := best(h, order, pl.o.MinFrac)
 		if err != nil {
 			return nil, err
 		}
-		return split.Partition, nil
+		return res.Partition, nil
 	}
-	dp, err := dprp.PartitionCtx(pl.ctx, h, res.Order, dprp.Options{K: pl.o.K})
+	dp, err := dprp.PartitionCtx(pl.ctx, h, order, dprp.Options{K: pl.o.K})
 	if err != nil {
 		return nil, err
 	}
@@ -566,19 +581,7 @@ func (pl *pipeline) partitionSFC(h *Netlist) (*Partitioning, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl.enter(resilience.StageSplit)
-	if pl.o.K == 2 {
-		split, err := dprp.BestBalancedSplit(h, order, pl.o.MinFrac)
-		if err != nil {
-			return nil, err
-		}
-		return split.Partition, nil
-	}
-	dp, err := dprp.PartitionCtx(pl.ctx, h, order, dprp.Options{K: pl.o.K})
-	if err != nil {
-		return nil, err
-	}
-	return dp.Partition, nil
+	return pl.split(h, order, false)
 }
 
 func (pl *pipeline) partitionBarnes(h *Netlist) (*Partitioning, error) {
@@ -607,13 +610,25 @@ func (pl *pipeline) partitionHL(h *Netlist) (*Partitioning, error) {
 	return hl.Partition(dec, d)
 }
 
+// partitionVKP grows all K clusters simultaneously in the D-dimensional
+// vector space, maximizing Σ_h ‖Y_h‖², then refines with single-vector
+// moves — the "more sophisticated vector partitioning heuristics"
+// direction the paper's conclusion proposes.
 func (pl *pipeline) partitionVKP(h *Netlist) (*Partitioning, error) {
 	g, dec, err := pl.decompose(h, graph.PartitioningSpecific, pl.o.D)
 	if err != nil {
 		return nil, err
 	}
 	pl.enter(resilience.StageSplit)
-	return vectorPartitionFrom(g, dec, pl.o.K, pl.o.D)
+	v, err := vectorInstance(g, dec, pl.o.D)
+	if err != nil {
+		return nil, err
+	}
+	res, err := vkp.Partition(v, vkp.Options{K: pl.o.K})
+	if err != nil {
+		return nil, err
+	}
+	return res.Partition, nil
 }
 
 func (pl *pipeline) partitionPlacement(h *Netlist) (*Partitioning, error) {
@@ -626,71 +641,6 @@ func (pl *pipeline) partitionPlacement(h *Netlist) (*Partitioning, error) {
 		return nil, err
 	}
 	return res.Partition, nil
-}
-
-// OrderModules returns a MELO ordering of the netlist's modules — the
-// paper's primary artifact, which callers can split with their own rules.
-func OrderModules(h *Netlist, d int, scheme int) ([]int, error) {
-	return OrderModulesCtx(context.Background(), h, d, scheme)
-}
-
-// OrderModulesCtx is OrderModules with cooperative cancellation and the
-// same hardening as PartitionCtx: input validation, the eigensolver
-// resilience ladder, per-component solves on disconnected netlists, and
-// panic recovery into *PipelineError. Context errors pass through
-// unwrapped.
-func OrderModulesCtx(ctx context.Context, h *Netlist, d int, scheme int) ([]int, error) {
-	return orderModulesCtx(ctx, h, nil, d, scheme, resilience.EigenPolicy{})
-}
-
-// orderModulesCtx is the ordering entry behind OrderModulesCtx and
-// OrderModulesWithSpectrum: an optional precomputed spectrum and an
-// injectable eigensolver policy for tests.
-func orderModulesCtx(ctx context.Context, h *Netlist, sp *Spectrum, d int, scheme int, pol resilience.EigenPolicy) (_ []int, retErr error) {
-	if d <= 0 {
-		d = 10
-	}
-	if err := ValidateNetlist(h); err != nil {
-		return nil, &PipelineError{Stage: string(resilience.StageValidate), Method: MELO, Err: err}
-	}
-	if scheme < 0 || scheme > 3 {
-		return nil, &PipelineError{Stage: string(resilience.StageValidate), Method: MELO, Err: fmt.Errorf("spectral: Scheme = %d, want 0..3", scheme)}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ctx, rspan := trace.Start(ctx, "order",
-		trace.Int("d", d), trace.Int("scheme", scheme), trace.Int("n", h.NumModules()))
-	pl := &pipeline{ctx: ctx, root: ctx, o: Options{K: 2, Method: MELO, D: d, Scheme: scheme}.withDefaults(), pol: pol, sp: sp, stage: resilience.StageCliqueModel}
-	defer func() {
-		pl.closeStage()
-		if retErr != nil {
-			rspan.Annotate(trace.Str("error", retErr.Error()))
-		}
-		rspan.End()
-	}()
-	var order []int
-	err := pl.protect(func() error {
-		g, dec, err := pl.decompose(h, graph.PartitioningSpecific, d)
-		if err != nil {
-			return err
-		}
-		pl.enter(resilience.StageOrdering)
-		mo := melo.NewOptions()
-		mo.D = d
-		mo.Scheme = melo.Scheme(scheme)
-		mo.Workers = pl.o.Parallelism
-		res, err := melo.OrderCtx(pl.ctx, g, dec, mo)
-		if err != nil {
-			return err
-		}
-		order = res.Order
-		return nil
-	})
-	if err != nil {
-		return nil, wrapPipelineErr(MELO, pl.stage, err)
-	}
-	return order, nil
 }
 
 // NetCut returns the number of nets spanning more than one cluster.

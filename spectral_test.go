@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestPartitionAllMethodsBipartition(t *testing.T) {
 	h := smallBenchmark(t)
 	n := h.NumModules()
 	for _, m := range []Method{MELO, SB, RSB, KP, SFC, Placement} {
-		p, err := Partition(h, Options{K: 2, Method: m})
+		p, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -41,7 +42,7 @@ func TestPartitionAllMethodsBipartition(t *testing.T) {
 func TestPartitionMultiway(t *testing.T) {
 	h := smallBenchmark(t)
 	for _, m := range []Method{MELO, RSB, KP, SFC, VKP, Barnes, HL} {
-		p, err := Partition(h, Options{K: 4, Method: m})
+		p, err := PartitionCtx(context.Background(), h, Options{K: 4, Method: m})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -63,7 +64,7 @@ func TestPartitionMultiway(t *testing.T) {
 func TestBipartitionersRejectMultiway(t *testing.T) {
 	h := smallBenchmark(t)
 	for _, m := range []Method{SB, Placement} {
-		if _, err := Partition(h, Options{K: 3, Method: m}); err == nil {
+		if _, err := PartitionCtx(context.Background(), h, Options{K: 3, Method: m}); err == nil {
 			t.Errorf("%v: K=3 accepted", m)
 		}
 	}
@@ -71,11 +72,11 @@ func TestBipartitionersRejectMultiway(t *testing.T) {
 
 func TestRefineImprovesOrMatches(t *testing.T) {
 	h := smallBenchmark(t)
-	plain, err := Partition(h, Options{K: 2, Method: MELO})
+	plain, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MELO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Partition(h, Options{K: 2, Method: MELO, Refine: true})
+	refined, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MELO, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestRefineImprovesOrMatches(t *testing.T) {
 		t.Errorf("refined cut %d worse than plain %d", NetCut(h, refined), NetCut(h, plain))
 	}
 	// k > 2 uses pairwise FM sweeps and must not worsen either.
-	plain4, err := Partition(h, Options{K: 4, Method: MELO})
+	plain4, err := PartitionCtx(context.Background(), h, Options{K: 4, Method: MELO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined4, err := Partition(h, Options{K: 4, Method: MELO, Refine: true})
+	refined4, err := PartitionCtx(context.Background(), h, Options{K: 4, Method: MELO, Refine: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRefineImprovesOrMatches(t *testing.T) {
 
 func TestOrderModules(t *testing.T) {
 	h := smallBenchmark(t)
-	order, err := OrderModules(h, 6, 0)
+	order, err := OrderModulesWithSpectrum(context.Background(), h, nil, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestOrderModules(t *testing.T) {
 
 func TestHLRejectsNonPowerOfTwo(t *testing.T) {
 	h := smallBenchmark(t)
-	if _, err := Partition(h, Options{K: 3, Method: HL}); err == nil {
+	if _, err := PartitionCtx(context.Background(), h, Options{K: 3, Method: HL}); err == nil {
 		t.Error("HL with K=3 accepted")
 	}
 }
@@ -171,7 +172,7 @@ func TestBenchmarksList(t *testing.T) {
 
 func TestMetricsConsistency(t *testing.T) {
 	h := smallBenchmark(t)
-	p, err := Partition(h, Options{K: 2, Method: MELO, MinFrac: 0.45})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: MELO, MinFrac: 0.45})
 	if err != nil {
 		t.Fatal(err)
 	}

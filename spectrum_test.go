@@ -28,7 +28,7 @@ func failingEigenPolicy() resilience.EigenPolicy {
 
 func TestDecomposeAccessors(t *testing.T) {
 	h := smallBenchmark(t)
-	sp, err := Decompose(h, ModelPartitioningSpecific, 10)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +57,13 @@ func TestDecomposeAccessors(t *testing.T) {
 
 func TestDecomposeValidation(t *testing.T) {
 	h := smallBenchmark(t)
-	if _, err := Decompose(nil, ModelPartitioningSpecific, 5); err == nil {
+	if _, err := DecomposeCtx(context.Background(), nil, ModelPartitioningSpecific, 5); err == nil {
 		t.Error("nil netlist accepted")
 	}
-	if _, err := Decompose(h, Model(42), 5); err == nil {
+	if _, err := DecomposeCtx(context.Background(), h, Model(42), 5); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := Decompose(h, ModelPartitioningSpecific, 0); err == nil {
+	if _, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 0); err == nil {
 		t.Error("d = 0 accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestDecomposeValidation(t *testing.T) {
 // fails without it.
 func TestPartitionWithSpectrumSkipsEigensolve(t *testing.T) {
 	h := smallBenchmark(t)
-	sp, err := Decompose(h, ModelPartitioningSpecific, 10)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestPartitionWithSpectrumSkipsEigensolve(t *testing.T) {
 	}
 	for _, opts := range cases {
 		// Sanity: without a spectrum the failing policy must error.
-		if _, err := partitionWithSpectrumPolicy(ctx, h, nil, opts, failingEigenPolicy()); err == nil {
+		if _, err := runPartition(ctx, h, nil, opts, failingEigenPolicy()); err == nil {
 			t.Fatalf("%v K=%d: failing policy did not fail without a spectrum", opts.Method, opts.K)
 		}
-		p, err := partitionWithSpectrumPolicy(ctx, h, sp, opts, failingEigenPolicy())
+		p, err := runPartition(ctx, h, sp, opts, failingEigenPolicy())
 		if err != nil {
 			t.Errorf("%v K=%d: eigensolve ran despite compatible spectrum: %v", opts.Method, opts.K, err)
 			continue
@@ -106,21 +106,21 @@ func TestPartitionWithSpectrumSkipsEigensolve(t *testing.T) {
 func TestPartitionWithSpectrumMismatchRecomputes(t *testing.T) {
 	h := smallBenchmark(t)
 	ctx := context.Background()
-	ps10, err := Decompose(h, ModelPartitioningSpecific, 10)
+	ps10, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// KP needs the Frankle model: with a failing policy the fresh solve
 	// errors, proving the wrong-model spectrum was not reused.
-	if _, err := partitionWithSpectrumPolicy(ctx, h, ps10, Options{K: 2, Method: KP}, failingEigenPolicy()); err == nil {
+	if _, err := runPartition(ctx, h, ps10, Options{K: 2, Method: KP}, failingEigenPolicy()); err == nil {
 		t.Error("KP silently reused a partitioning-specific spectrum")
 	}
 	// Undersized: MELO with D=10 offered only 2 eigenvectors.
-	ps2, err := Decompose(h, ModelPartitioningSpecific, 2)
+	ps2, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := partitionWithSpectrumPolicy(ctx, h, ps2, Options{K: 2, Method: MELO, D: 10}, failingEigenPolicy()); err == nil {
+	if _, err := runPartition(ctx, h, ps2, Options{K: 2, Method: MELO, D: 10}, failingEigenPolicy()); err == nil {
 		t.Error("undersized spectrum was reused for a larger request")
 	}
 	// And without the failing policy the same calls succeed by
@@ -148,7 +148,7 @@ func TestPartitionWithSpectrumMismatchRecomputes(t *testing.T) {
 func TestPartitionWithSpectrumMatchesDirect(t *testing.T) {
 	h := smallBenchmark(t)
 	ctx := context.Background()
-	sp, err := Decompose(h, ModelPartitioningSpecific, 10)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,23 +173,23 @@ func TestPartitionWithSpectrumMatchesDirect(t *testing.T) {
 func TestOrderModulesWithSpectrum(t *testing.T) {
 	h := smallBenchmark(t)
 	ctx := context.Background()
-	sp, err := Decompose(h, ModelPartitioningSpecific, 10)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Under the failing policy only the spectrum path can succeed.
-	got, err := orderModulesCtx(ctx, h, sp, 10, 1, failingEigenPolicy())
+	got, err := order(ctx, h, sp, 10, 1, failingEigenPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := OrderModulesCtx(ctx, h, 10, 1)
+	want, err := OrderModulesWithSpectrum(ctx, h, nil, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("spectrum-reuse ordering differs from OrderModulesCtx")
+		t.Error("spectrum-reuse ordering differs from a cold ordering")
 	}
-	if _, err := orderModulesCtx(ctx, h, nil, 10, 1, failingEigenPolicy()); err == nil {
+	if _, err := order(ctx, h, nil, 10, 1, failingEigenPolicy()); err == nil {
 		t.Error("failing policy did not fail without a spectrum")
 	}
 }

@@ -22,7 +22,7 @@ func TestSpectrumCodecRoundTrip(t *testing.T) {
 	h := codecNetlist(t)
 	for _, model := range []Model{ModelPartitioningSpecific, ModelFrankle} {
 		for _, d := range []int{1, 4, 10} {
-			sp, err := Decompose(h, model, d)
+			sp, err := DecomposeCtx(context.Background(), h, model, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func TestSpectrumCodecRoundTrip(t *testing.T) {
 // partition computed from it is bit-identical.
 func TestSpectrumCodecPartitionEquivalence(t *testing.T) {
 	h := codecNetlist(t)
-	sp, err := Decompose(h, ModelPartitioningSpecific, 10)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSpectrumCodecPartitionEquivalence(t *testing.T) {
 // rejected, not produce a spectrum for the wrong instance.
 func TestSpectrumCodecWrongNetlistRejected(t *testing.T) {
 	h := codecNetlist(t)
-	sp, err := Decompose(h, ModelPartitioningSpecific, 4)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSpectrumCodecWrongNetlistRejected(t *testing.T) {
 
 func TestSpectrumCodecRejectsDamage(t *testing.T) {
 	h := codecNetlist(t)
-	sp, err := Decompose(h, ModelPartitioningSpecific, 4)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func FuzzStoreDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sp, err := Decompose(h, ModelPartitioningSpecific, 4)
+	sp, err := DecomposeCtx(context.Background(), h, ModelPartitioningSpecific, 4)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/delta"
@@ -18,7 +19,7 @@ func stabilityNetlist(t *testing.T) *Netlist {
 
 func TestPartitionStabilityIdentity(t *testing.T) {
 	h := stabilityNetlist(t)
-	p, err := Partition(h, Options{K: 2, D: 4})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 2, D: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestPartitionStabilityIdentity(t *testing.T) {
 // movement — the alignment must absorb any permutation of labels.
 func TestPartitionStabilityLabelInvariance(t *testing.T) {
 	h := stabilityNetlist(t)
-	p, err := Partition(h, Options{K: 4, D: 6})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 4, D: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPartitionStabilityLabelInvariance(t *testing.T) {
 
 func TestPartitionStabilityCountsMoves(t *testing.T) {
 	h := stabilityNetlist(t)
-	p, err := Partition(h, Options{K: 2, D: 4})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 2, D: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestPartitionStabilityAcrossDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{K: 2, D: 4}
-	pb, err := Partition(base, opts)
+	pb, err := PartitionCtx(context.Background(), base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pm, err := Partition(mut, opts)
+	pm, err := PartitionCtx(context.Background(), mut, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestPartitionStabilityAcrossDelta(t *testing.T) {
 
 func TestPartitionStabilityErrors(t *testing.T) {
 	h := stabilityNetlist(t)
-	p, err := Partition(h, Options{K: 2, D: 4})
+	p, err := PartitionCtx(context.Background(), h, Options{K: 2, D: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

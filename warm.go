@@ -49,10 +49,13 @@ func DecomposeWarm(h *Netlist, model Model, d int, seed *Spectrum) (*Spectrum, W
 	return DecomposeWarmCtxPolicy(context.Background(), h, model, d, seed, resilience.EigenPolicy{})
 }
 
-// DecomposeWarmCtxPolicy computes the spectrum of h like
-// DecomposeCtxPolicy, but tries to reuse seed — the cached spectrum of
-// a nearby netlist (typically the base a delta was applied to) — before
-// paying for a cold eigensolve. Three things can happen, reported in
+// DecomposeWarmCtxPolicy computes the spectrum of h like DecomposeCtx,
+// under an explicit resilience policy, but tries to reuse seed — the
+// cached spectrum of a nearby netlist (typically the base a delta was
+// applied to) — before paying for a cold eigensolve. The spectrald
+// daemon routes all of its eigensolves through it, so a deterministic
+// fault plan (chaos testing) or tuned retry ladder can be injected into
+// an otherwise production pipeline. Four things can happen, reported in
 // WarmInfo:
 //
 //   - accepted: every seed Ritz pair passes the residual check
@@ -62,11 +65,13 @@ func DecomposeWarm(h *Netlist, model Model, d int, seed *Spectrum) (*Spectrum, W
 //   - seeded: the seed is a usable subspace but not converged; Lanczos
 //     runs with the seed's combined Ritz direction as its starting
 //     vector, then falls back to a cold solve if it fails to converge.
-//   - rejected/cold: the solve proceeds exactly as DecomposeCtxPolicy.
+//   - rejected: the seed failed a check and the cold solve runs.
+//   - cold: seed is nil. This is exactly DecomposeCtx under pol — one
+//     "decompose" span and no warm-start counter.
 //
 // Every path is deterministic: the result is a pure function of
-// (netlist, model, d, seed, policy). The outcome is counted on the
-// context's tracer as "eigen.warmstart.<outcome>".
+// (netlist, model, d, seed, policy). With a seed, the outcome is
+// counted on the context's tracer as "eigen.warmstart.<outcome>".
 //
 // The caller is responsible for passing a seed decomposed from a
 // netlist with the same module population under the same model — the
@@ -74,137 +79,81 @@ func DecomposeWarm(h *Netlist, model Model, d int, seed *Spectrum) (*Spectrum, W
 // numerical fitness, but cannot tell an unrelated same-size netlist
 // from a true base (the residual check makes an unrelated seed
 // overwhelmingly likely to be rejected, not wrong).
-func DecomposeWarmCtxPolicy(ctx context.Context, h *Netlist, model Model, d int, seed *Spectrum, pol resilience.EigenPolicy) (_ *Spectrum, _ WarmInfo, retErr error) {
-	if err := ValidateNetlist(h); err != nil {
-		return nil, WarmInfo{}, &PipelineError{Stage: string(resilience.StageValidate), Method: MELO, Err: err}
-	}
-	cm, err := model.clique()
-	if err != nil {
-		return nil, WarmInfo{}, &PipelineError{Stage: string(resilience.StageValidate), Method: MELO, Err: err}
-	}
-	if d < 1 {
-		return nil, WarmInfo{}, &PipelineError{Stage: string(resilience.StageValidate), Method: MELO, Err: fmt.Errorf("spectral: d = %d, want >= 1", d)}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, WarmInfo{}, err
-	}
-	n := h.NumModules()
-	want := d + 1
-	if want > n {
-		want = n
-	}
-	ctx, rspan := trace.Start(ctx, "decompose.warm",
-		trace.Str("model", model.String()), trace.Int("d", d), trace.Int("n", n))
-	var info WarmInfo
+func DecomposeWarmCtxPolicy(ctx context.Context, h *Netlist, model Model, d int, seed *Spectrum, pol resilience.EigenPolicy) (*Spectrum, WarmInfo, error) {
+	return decompose(ctx, h, model, d, seed, pol)
+}
+
+// warmStart tries to answer a decomposition from seed, recording the
+// outcome in info and, once it is settled, on the root span and the
+// tracer. A nil spectrum with a nil error means the seed was rejected:
+// the caller runs the cold solve.
+func (pl *pipeline) warmStart(h *Netlist, cm graph.CliqueModel, d int, seed *Spectrum, info *WarmInfo) (*Spectrum, error) {
 	defer func() {
-		rspan.Annotate(trace.Str("outcome", info.Outcome))
-		if retErr != nil {
-			rspan.Annotate(trace.Str("error", retErr.Error()))
-		}
-		rspan.End()
+		pl.rspan.Annotate(trace.Str("outcome", info.Outcome))
 		if info.Outcome != "" {
-			trace.Add(ctx, "eigen.warmstart."+info.Outcome, 1)
+			trace.Add(pl.root, "eigen.warmstart."+info.Outcome, 1)
 		}
 	}()
-
-	cold := func(reason string) (*Spectrum, WarmInfo, error) {
-		if info.Outcome == "" {
-			info.Outcome = WarmOutcomeCold
-		}
-		if info.Reason == "" {
-			info.Reason = reason
-		}
-		sp, err := decomposeCtxWithPolicy(ctx, h, model, d, pol)
-		return sp, info, err
-	}
-
-	if seed == nil {
-		return cold("no seed spectrum")
-	}
+	n := h.NumModules()
+	want := min(d+1, n)
 	if !seed.satisfies(n, cm, want) {
 		// A present-but-incompatible seed (wrong module count, model, or
 		// too few pairs) is a rejection, not a cold run: the caller asked
 		// for a warm start and the seed failed its checks.
-		info.Outcome = WarmOutcomeRejected
-		return cold("seed spectrum incompatible (module count, model, or pair count)")
+		info.Outcome, info.Reason = WarmOutcomeRejected, "seed spectrum incompatible (module count, model, or pair count)"
+		return nil, nil
 	}
 
-	// Evaluate the seed against the new operator. The clique-model graph
-	// built here is reused by every later path, so the evaluation's cost
-	// beyond the cold path is just d+1 matvecs.
-	pl := &pipeline{ctx: ctx, root: ctx, o: Options{D: d}.withDefaults(), pol: pol, stage: resilience.StageCliqueModel}
-	defer pl.closeStage()
-	var sp *Spectrum
-	perr := pl.protect(func() error {
-		g, err := graph.FromHypergraph(h, cm, 0)
+	// Evaluate the seed against the new operator: d+1 matvecs on top of
+	// the graph build.
+	g, err := graph.FromHypergraph(h, cm, 0)
+	if err != nil {
+		return nil, err
+	}
+	tol := pl.pol.Tol
+	if tol <= 0 {
+		tol = resilience.DefaultTol
+	}
+	ev := eigen.EvaluateWarmSeed(g.Laplacian(), seed.dec, want, tol)
+	info.MaxResidual, info.Scale, info.Reason = ev.MaxResidual, ev.Scale, ev.Reason
+	switch ev.Outcome {
+	case eigen.WarmAccepted:
+		info.Outcome = WarmOutcomeAccepted
+		return &Spectrum{modules: n, model: cm, g: g, dec: ev.Refreshed}, nil
+	case eigen.WarmSeeded:
+		// A seeded Lanczos only makes sense where a cold solve would
+		// iterate: connected graph, sparse regime. Everywhere else the
+		// resilience ladder's dense solve is both fast and seed-blind.
+		denseN := pl.pol.DenseDirectN
+		if denseN <= 0 {
+			denseN = resilience.DefaultDenseDirectN
+		}
+		if n <= denseN || want > n/3 || len(g.Components()) > 1 {
+			info.Outcome, info.Reason = WarmOutcomeRejected, "seeded regime not applicable (dense or disconnected)"
+			return nil, nil
+		}
+		seedID := pl.pol.BaseSeed
+		if seedID == 0 {
+			seedID = 1
+		}
+		pl.enter(resilience.StageEigen)
+		dec, err := eigen.LanczosCtx(pl.ctx, g.Laplacian(), want, &eigen.LanczosOptions{
+			Tol:           tol,
+			Seed:          seedID,
+			Workers:       pl.workers(),
+			InitialVector: ev.Start,
+		})
 		if err != nil {
-			return err
-		}
-		tol := pol.Tol
-		if tol <= 0 {
-			tol = resilience.DefaultTol
-		}
-		ev := eigen.EvaluateWarmSeed(g.Laplacian(), seed.dec, want, tol)
-		info.MaxResidual, info.Scale, info.Reason = ev.MaxResidual, ev.Scale, ev.Reason
-
-		switch ev.Outcome {
-		case eigen.WarmAccepted:
-			info.Outcome = WarmOutcomeAccepted
-			sp = &Spectrum{modules: n, model: cm, g: g, dec: ev.Refreshed}
-			return nil
-		case eigen.WarmSeeded:
-			// A seeded Lanczos only makes sense where a cold solve would
-			// iterate: connected graph, sparse regime. Everywhere else the
-			// resilience ladder's dense solve is both fast and seed-blind.
-			denseN := pol.DenseDirectN
-			if denseN <= 0 {
-				denseN = resilience.DefaultDenseDirectN
+			if resilience.IsContextError(err) {
+				return nil, err
 			}
-			if n <= denseN || want > n/3 || len(g.Components()) > 1 {
-				info.Reason = "seeded regime not applicable (dense or disconnected)"
-				return errWarmFallthrough
-			}
-			seedID := pol.BaseSeed
-			if seedID == 0 {
-				seedID = 1
-			}
-			pl.enter(resilience.StageEigen)
-			dec, lerr := eigen.LanczosCtx(pl.ctx, g.Laplacian(), want, &eigen.LanczosOptions{
-				Tol:           tol,
-				Seed:          seedID,
-				Workers:       pl.workers(),
-				InitialVector: ev.Start,
-			})
-			if lerr != nil {
-				if resilience.IsContextError(lerr) {
-					return lerr
-				}
-				info.Reason = fmt.Sprintf("seeded solve failed: %v", lerr)
-				return errWarmFallthrough
-			}
-			info.Outcome = WarmOutcomeSeeded
-			sp = &Spectrum{modules: n, model: cm, g: g, dec: dec}
-			return nil
-		default:
-			info.Outcome = WarmOutcomeRejected
-			return errWarmFallthrough
+			info.Outcome, info.Reason = WarmOutcomeRejected, fmt.Sprintf("seeded solve failed: %v", err)
+			return nil, nil
 		}
-	})
-	switch {
-	case perr == nil:
-		return sp, info, nil
-	case perr == errWarmFallthrough:
-		if info.Outcome == "" || info.Outcome == WarmOutcomeSeeded {
-			info.Outcome = WarmOutcomeRejected
-		}
-		sp, err := decomposeCtxWithPolicy(ctx, h, model, d, pol)
-		return sp, info, err
+		info.Outcome = WarmOutcomeSeeded
+		return &Spectrum{modules: n, model: cm, g: g, dec: dec}, nil
 	default:
-		return nil, info, wrapPipelineErr(MELO, pl.stage, perr)
+		info.Outcome = WarmOutcomeRejected
+		return nil, nil
 	}
 }
-
-// errWarmFallthrough is the internal sentinel the warm path returns to
-// route into a cold solve without treating the situation as a pipeline
-// failure.
-var errWarmFallthrough = fmt.Errorf("spectral: warm start fell through to cold solve")

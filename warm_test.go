@@ -212,14 +212,35 @@ func TestDecomposeWarmRejectsCorruptedSeeds(t *testing.T) {
 		})
 	}
 
-	// No seed at all: outcome "cold", also counted.
-	ctx, tr := warmTestCtx()
-	_, info, err := DecomposeWarmCtxPolicy(ctx, base, ModelPartitioningSpecific, 10, nil, eigenPolicyZero())
+	// No seed at all is exactly the cold DecomposeCtx path: outcome
+	// "cold", not counted, one "decompose" span and no "decompose.warm"
+	// span, and the cold answer bit-for-bit.
+	ring := trace.NewRing(64)
+	tr := trace.New(ring)
+	ctx := trace.WithTracer(context.Background(), tr)
+	noSeed, info, err := DecomposeWarmCtxPolicy(ctx, base, ModelPartitioningSpecific, 10, nil, eigenPolicyZero())
 	if err != nil {
 		t.Fatalf("warm decompose: %v", err)
 	}
-	if info.Outcome != WarmOutcomeCold || tr.Counter("eigen.warmstart.cold") != 1 {
+	if info.Outcome != WarmOutcomeCold || tr.Counter("eigen.warmstart.cold") != 0 {
 		t.Fatalf("nil seed outcome = %q, cold counter = %d", info.Outcome, tr.Counter("eigen.warmstart.cold"))
+	}
+	spans := map[string]int{}
+	for _, r := range ring.Snapshot() {
+		spans[r.Name]++
+	}
+	if spans["decompose"] != 1 || spans["decompose.warm"] != 0 {
+		t.Fatalf("nil seed spans: decompose %d, decompose.warm %d; want 1, 0", spans["decompose"], spans["decompose.warm"])
+	}
+	for j := 0; j < cold.dec.D(); j++ {
+		if noSeed.dec.Values[j] != cold.dec.Values[j] {
+			t.Fatalf("nil seed eigenvalue %d differs from cold", j)
+		}
+		for i := 0; i < base.NumModules(); i++ {
+			if noSeed.dec.Vectors.At(i, j) != cold.dec.Vectors.At(i, j) {
+				t.Fatalf("nil seed vector differs from cold at (%d,%d)", i, j)
+			}
+		}
 	}
 }
 
