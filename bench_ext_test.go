@@ -18,6 +18,7 @@ import (
 	"repro/internal/maxcut"
 	"repro/internal/melo"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 )
 
 // BenchmarkAblationVKP compares MELO+DP-RP against direct vector
@@ -97,7 +98,7 @@ func BenchmarkAblationCliqueModels(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eigen.SmallestEigenpairs(g.Laplacian(), 2); err != nil {
+				if _, err := resilience.SolveEigen(context.Background(), g.Laplacian(), 2, resilience.EigenPolicy{MinD: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}

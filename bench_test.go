@@ -9,6 +9,7 @@ package spectral
 //	go test -bench=Table -benchscale 0.3
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/melo"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 )
 
 var benchScale = flag.Float64("benchscale", 0.15, "benchmark suite scale for table benchmarks")
@@ -72,11 +74,11 @@ func benchPipelineOn(b *testing.B, circuit string, scale float64, d int) (*graph
 	if err != nil {
 		b.Fatal(err)
 	}
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), d+1)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), d+1, resilience.EigenPolicy{MinD: d + 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g, dec, h
+	return g, sol.Dec, h
 }
 
 // BenchmarkAblationSchemes measures each MELO weighting scheme's ordering
@@ -202,7 +204,7 @@ func BenchmarkLaplacianEigensolve(b *testing.B) {
 	lap := g.Laplacian()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eigen.SmallestEigenpairs(lap, 11); err != nil {
+		if _, err := resilience.SolveEigen(context.Background(), lap, 11, resilience.EigenPolicy{MinD: 11}); err != nil {
 			b.Fatal(err)
 		}
 	}

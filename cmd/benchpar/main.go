@@ -21,12 +21,6 @@
 // directly as parallel efficiency. Points above runtime.NumCPU are
 // measured like any other and simply show the flat truth.
 //
-// The delta-warm-vs-cold row times an incremental (ECO) re-solve: the
-// serial column decomposes a mutated netlist cold, the parallel column
-// runs the same decomposition warm-started from the base netlist's
-// spectrum, so the speedup is the warm-start win the -compare gate
-// then holds onto.
-//
 // Besides the serial-vs-parallel rows, the report carries
 // tracer-overhead rows (trace-off-*, trace-on-*): each times a kernel
 // with no tracer in the serial column and with a disabled (trace-off)
@@ -58,7 +52,6 @@ import (
 	"time"
 
 	spectral "repro"
-	"repro/internal/delta"
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
@@ -115,7 +108,7 @@ type Kernel struct {
 func main() {
 	var (
 		n          = flag.Int("n", 20000, "modules in the synthesized MatVec netlist")
-		workers    = flag.Int("workers", 0, "parallel worker count (0 = NumCPU)")
+		workers    = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
 		reps       = flag.Int("reps", 5, "repetitions per timing (best-of)")
 		out        = flag.String("out", "BENCH_parallel.json", "output path")
 		traceOut   = flag.String("trace", "", "append finished spans as JSON lines to this file")
@@ -164,10 +157,11 @@ func main() {
 	))
 
 	small := buildGraph(2000)
-	dec, err := eigen.SmallestEigenpairs(small.Laplacian(), 9)
+	sol, err := resilience.SolveEigen(context.Background(), small.Laplacian(), 9, resilience.EigenPolicy{MinD: 9})
 	if err != nil {
 		fatal(err)
 	}
+	dec := sol.Dec
 	meloPar := func() { mustOrder(small, dec, w) }
 	rep.Kernels = append(rep.Kernels, measure("melo-order", *reps,
 		func() { mustOrder(small, dec, 1) },
@@ -177,9 +171,7 @@ func main() {
 	// Multilevel-vs-flat rows: the serial column times the flat MELO
 	// pipeline end to end, the parallel column the multilevel V-cycle on
 	// the same netlist, so "speedup" is the algorithmic win of
-	// coarsen→solve→uncoarsen over the O(d·n²) flat path. At n = 10⁵ the
-	// flat path is impractical on CI budgets, so that row compares the
-	// V-cycle against itself at workers=1 (the scaling column).
+	// coarsen→solve→uncoarsen over the O(d·n²) flat path.
 	mlNote := "serial column = flat MELO, parallel column = MultilevelMELO; speedup = algorithmic win"
 	for _, mn := range []int{1000, 10000} {
 		hn := buildNetlist(mn)
@@ -193,53 +185,6 @@ func main() {
 		k.Note = mlNote
 		rep.Kernels = append(rep.Kernels, k)
 	}
-	{
-		hn := buildNetlist(100000)
-		k := measure("multilevel-n100000", 2,
-			func() { mustPartition(hn, spectral.MultilevelMELO, 1) },
-			func() { mustPartition(hn, spectral.MultilevelMELO, w) },
-		)
-		k.Note = "both columns = MultilevelMELO (flat MELO is impractical at this n); serial = workers 1"
-		rep.Kernels = append(rep.Kernels, k)
-	}
-
-	// Incremental (ECO) warm-start row: serial column = cold decompose of
-	// a mutated netlist, parallel column = the same decompose seeded with
-	// the base netlist's spectrum, so "speedup" is the warm-start win.
-	// The delta swaps one chain net for a three-pin net — small enough to
-	// seed from, big enough to force a real (seeded) re-solve.
-	{
-		base := buildNetlist(4000)
-		mut, _, err := delta.Apply(base, &delta.Delta{
-			RemoveNets: []string{"c100"},
-			AddNets:    []delta.NetChange{{Name: "eco", Modules: []int{5, 2500, 3999}}},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		ctx := context.Background()
-		seed, err := spectral.DecomposeCtx(ctx, base, spectral.ModelPartitioningSpecific, 10)
-		if err != nil {
-			fatal(err)
-		}
-		var info spectral.WarmInfo
-		k := measure("delta-warm-vs-cold", *reps,
-			func() {
-				if _, err := spectral.DecomposeCtx(ctx, mut, spectral.ModelPartitioningSpecific, 10); err != nil {
-					fatal(err)
-				}
-			},
-			func() {
-				var werr error
-				if _, info, werr = spectral.DecomposeWarmCtxPolicy(ctx, mut, spectral.ModelPartitioningSpecific, 10, seed, resilience.EigenPolicy{}); werr != nil {
-					fatal(werr)
-				}
-			},
-		)
-		k.Note = fmt.Sprintf("serial column = cold decompose of the delta netlist, parallel column = warm-started (outcome %q); speedup = warm-start win", info.Outcome)
-		rep.Kernels = append(rep.Kernels, k)
-	}
-
 	// Tracer-overhead rows: same kernel, untraced vs traced, in one
 	// process. trace-off rows must stay within the <= 2% no-op budget.
 	for _, k := range []struct {

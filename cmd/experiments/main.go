@@ -45,7 +45,7 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "benchmark scale factor (0,1]")
 		d        = flag.Int("d", 10, "MELO eigenvector count")
 		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
-		par      = flag.Int("parallelism", 0, "worker goroutines per numerical kernel (0 = NumCPU; results identical at every setting)")
+		par      = flag.Int("parallelism", 0, "worker goroutines per numerical kernel (0 = GOMAXPROCS; results identical at every setting)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		traceOut = flag.String("trace", "", "append finished spans as JSON lines to this file")
 		traceRep = flag.Bool("trace-report", false, "print the trace summary to stderr at exit")

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -18,8 +19,8 @@ import (
 
 	spectral "repro"
 	"repro/internal/bounds"
-	"repro/internal/eigen"
 	"repro/internal/graph"
+	"repro/internal/resilience"
 )
 
 func main() {
@@ -79,10 +80,11 @@ func main() {
 	if want > g.N() {
 		want = g.N()
 	}
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), want)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), want, resilience.EigenPolicy{MinD: want})
 	if err != nil {
 		fatal(fmt.Errorf("eigensolve: %v", err))
 	}
+	dec := sol.Dec
 	fmt.Printf("smallest Laplacian eigenvalues:\n  ")
 	for j, l := range dec.Values {
 		if j > 0 && j%6 == 0 {

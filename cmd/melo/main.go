@@ -45,7 +45,7 @@ func main() {
 		coarsenTo   = flag.Int("coarsen-threshold", 0, "mlmelo: stop coarsening at this many modules (0 = default 128)")
 		maxLevels   = flag.Int("max-levels", 0, "mlmelo: cap on coarsening levels (0 = default 32)")
 		refPasses   = flag.Int("refine-passes", 0, "mlmelo: FM passes per uncoarsening level (0 = default 4, negative disables)")
-		par         = flag.Int("parallelism", 0, "worker goroutines per numerical kernel (0 = NumCPU; results identical at every setting)")
+		par         = flag.Int("parallelism", 0, "worker goroutines per numerical kernel (0 = GOMAXPROCS; results identical at every setting)")
 		quiet       = flag.Bool("quiet", false, "print metrics only, not the assignment")
 		timeout     = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	)

@@ -20,7 +20,7 @@
 //
 // -workers bounds how many jobs run concurrently; -parallelism bounds
 // the goroutines the numerical kernels inside one job may use
-// (0 = NumCPU). Results are bit-identical at every -parallelism
+// (0 = GOMAXPROCS). Results are bit-identical at every -parallelism
 // setting; see DESIGN.md, "The parallelism model".
 //
 // -journal-dir makes the daemon crash-safe: accepted netlists, job
@@ -101,7 +101,7 @@ func main() {
 		queueDepth   = flag.Int("queue", 0, "job queue depth before 429 backpressure (0 = 64)")
 		cacheSize    = flag.Int("cache", 0, "spectrum cache entries (0 = 32)")
 		maxNetlists  = flag.Int("max-netlists", 0, "netlist store bound (0 = 128)")
-		parallelism  = flag.Int("parallelism", 0, "worker goroutines per numerical kernel (0 = NumCPU)")
+		parallelism  = flag.Int("parallelism", 0, "worker goroutines per numerical kernel (0 = GOMAXPROCS)")
 		grace        = flag.Duration("grace", 30*time.Second, "drain window for in-flight jobs on shutdown")
 		journalDir   = flag.String("journal-dir", "", "durable job journal directory; empty = no crash safety")
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "fail jobs queued longer than this (0 = unbounded)")

@@ -12,14 +12,15 @@
 package barnes
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"repro/internal/eigen"
 	"repro/internal/flow"
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 )
 
 // Options configures the algorithm.
@@ -136,13 +137,13 @@ func largestAdjacencyEigenvectors(g *graph.Graph, k int) ([][]float64, error) {
 		}
 	}
 	op := &shiftedNegAdjacency{a: g.Adjacency(), c: c}
-	dec, err := eigen.SmallestEigenpairs(op, k)
+	sol, err := resilience.SolveEigen(context.TODO(), op, k, resilience.EigenPolicy{MinD: k})
 	if err != nil {
 		return nil, err
 	}
 	u := make([][]float64, k)
 	for j := 0; j < k; j++ {
-		u[j] = dec.Vector(j)
+		u[j] = sol.Dec.Vector(j)
 	}
 	return u, nil
 }

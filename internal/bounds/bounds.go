@@ -10,12 +10,14 @@
 package bounds
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
+	"repro/internal/resilience"
 )
 
 // DonathHoffman returns the lower bound on the paper's cut objective
@@ -173,9 +175,9 @@ func OptimizeDiagonal(g *graph.Graph, sizes []int, opts OptimizeDiagonalOptions)
 
 // smallestValues returns the k smallest eigenvalues of op.
 func smallestValues(op linalg.Operator, k int) ([]float64, error) {
-	dec, err := eigen.SmallestEigenpairs(op, k)
+	sol, err := resilience.SolveEigen(context.TODO(), op, k, resilience.EigenPolicy{MinD: k})
 	if err != nil {
 		return nil, err
 	}
-	return dec.Values, nil
+	return sol.Dec.Values, nil
 }

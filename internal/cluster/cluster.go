@@ -9,16 +9,17 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/dprp"
-	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/melo"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 )
 
 // Options configures tree construction.
@@ -132,7 +133,7 @@ func bisect(h *hypergraph.Hypergraph, members []int, d int, model graph.CliqueMo
 		if want > g.N() {
 			want = g.N()
 		}
-		dec, derr := eigen.SmallestEigenpairs(g.Laplacian(), want)
+		sol, derr := resilience.SolveEigen(context.TODO(), g.Laplacian(), want, resilience.EigenPolicy{MinD: want})
 		if derr != nil {
 			return nil, nil, 0, fmt.Errorf("cluster: eigensolve on %d modules: %v", len(members), derr)
 		}
@@ -143,7 +144,7 @@ func bisect(h *hypergraph.Hypergraph, members []int, d int, model graph.CliqueMo
 			mo := melo.NewOptions()
 			mo.D = d
 			mo.Scheme = s
-			res, merr := melo.Order(g, dec, mo)
+			res, merr := melo.Order(g, sol.Dec, mo)
 			if merr != nil {
 				return nil, nil, 0, merr
 			}

@@ -133,17 +133,10 @@ func BestRatioCutSplitBalanced(h *hypergraph.Hypergraph, order []int, minFrac fl
 	return bestSplit(order, profile, minFrac, true)
 }
 
-// BestBalancedSplitGraph and BestRatioCutSplitGraph are the weighted-graph
-// analogues.
+// BestBalancedSplitGraph is BestBalancedSplit for a weighted graph.
 func BestBalancedSplitGraph(g *graph.Graph, order []int, minFrac float64) (SplitResult, error) {
 	profile := GraphCutProfile(g, order)
 	return bestSplit(order, profile, minFrac, false)
-}
-
-// BestRatioCutSplitGraph scans all splits minimizing weighted ratio cut.
-func BestRatioCutSplitGraph(g *graph.Graph, order []int) (SplitResult, error) {
-	profile := GraphCutProfile(g, order)
-	return bestSplit(order, profile, 0, true)
 }
 
 func bestSplit(order []int, profile []float64, minFrac float64, ratio bool) (SplitResult, error) {

@@ -17,20 +17,15 @@ type CGOptions struct {
 	MaxIter int
 }
 
-// CG solves the symmetric positive-definite system a·x = b with the
+// CGCtx solves the symmetric positive-definite system a·x = b with the
 // Jacobi-preconditioned conjugate-gradient method. x0 provides the
 // starting guess (may be nil for zero). It returns the solution and the
 // number of iterations performed.
 //
 // The analytical-placement baseline solves anchored Laplacian systems
 // (Laplacian plus a positive diagonal), which are SPD, with this routine.
-func CG(a linalg.Operator, b, x0 []float64, diag []float64, opts *CGOptions) ([]float64, int, error) {
-	return CGCtx(context.Background(), a, b, x0, diag, opts)
-}
-
-// CGCtx is CG with cooperative cancellation, checked at every iteration
-// boundary; a cancelled context aborts the solve within one iteration,
-// returning ctx.Err().
+// ctx is checked at every iteration boundary; a cancelled context aborts
+// the solve within one iteration, returning ctx.Err().
 func CGCtx(ctx context.Context, a linalg.Operator, b, x0 []float64, diag []float64, opts *CGOptions) ([]float64, int, error) {
 	n := a.Dim()
 	if len(b) != n {

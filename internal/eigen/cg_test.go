@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestCGExactStartingGuess(t *testing.T) {
 	b := make([]float64, n)
 	op.MatVec(want, b)
 
-	x, iters, err := CG(op, b, want, nil, nil)
+	x, iters, err := CGCtx(context.Background(), op, b, want, nil, nil)
 	if err != nil {
 		t.Fatalf("CG with exact starting guess: %v", err)
 	}
@@ -62,7 +63,7 @@ func TestCGColdStartStillSolves(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%3) - 1
 	}
-	x, _, err := CG(op, b, nil, nil, nil)
+	x, _, err := CGCtx(context.Background(), op, b, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

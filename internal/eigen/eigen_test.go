@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,7 +187,8 @@ func TestSymTridiagEig(t *testing.T) {
 	for i := range sub {
 		sub[i] = -1
 	}
-	vals, vecs, err := SymTridiagEig(diag, sub, true)
+	var ws tridiagWS
+	vals, vecs, err := ws.eig(diag, sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +226,8 @@ func TestTruncate(t *testing.T) {
 }
 
 func TestLanczosMatchesDense(t *testing.T) {
-	// Random sparse Laplacian-like matrix, large enough to take the
-	// Lanczos path in SmallestEigenpairs.
+	// Random sparse Laplacian-like matrix, large enough that the
+	// eigensolve ladder would take the Lanczos path.
 	n := 400
 	rng := rand.New(rand.NewSource(3))
 	var ts []linalg.Triplet
@@ -307,23 +309,6 @@ func TestLanczosArgumentChecks(t *testing.T) {
 	}
 }
 
-func TestSmallestEigenpairsDispatch(t *testing.T) {
-	// Small problem: dense path.
-	dec, err := SmallestEigenpairs(pathLaplacian(30), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := pathEigenvalues(30)
-	for j := 0; j < 4; j++ {
-		if math.Abs(dec.Values[j]-want[j]) > 1e-9 {
-			t.Errorf("dense dispatch eigenvalue %d = %v, want %v", j, dec.Values[j], want[j])
-		}
-	}
-	if _, err := SmallestEigenpairs(pathLaplacian(5), 9); err == nil {
-		t.Fatal("expected error for d>n")
-	}
-}
-
 func TestCGSolvesSPDSystem(t *testing.T) {
 	// Anchored path Laplacian: L + I is SPD.
 	n := 50
@@ -342,7 +327,7 @@ func TestCGSolvesSPDSystem(t *testing.T) {
 	for i := range diag {
 		diag[i] = a.At(i, i)
 	}
-	x, iters, err := CG(a, b, nil, diag, nil)
+	x, iters, err := CGCtx(context.Background(), a, b, nil, diag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +346,7 @@ func TestCGZeroRHS(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		a.Add(i, i, 1)
 	}
-	x, _, err := CG(a, make([]float64, 5), nil, nil, nil)
+	x, _, err := CGCtx(context.Background(), a, make([]float64, 5), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +359,7 @@ func TestCGRejectsIndefinite(t *testing.T) {
 	a := linalg.NewDense(2, 2)
 	a.Set(0, 0, 1)
 	a.Set(1, 1, -1)
-	if _, _, err := CG(a, []float64{1, 1}, nil, nil, nil); err == nil {
+	if _, _, err := CGCtx(context.Background(), a, []float64{1, 1}, nil, nil, nil); err == nil {
 		t.Fatal("expected error for indefinite operator")
 	}
 }

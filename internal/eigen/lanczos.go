@@ -422,7 +422,7 @@ func omegaStep(dst []float64, omCur, omPrev []float64, alphas, betas []float64, 
 
 // convergedSmallest reports whether the d smallest Ritz pairs of the
 // current tridiagonal matrix have residual estimates |beta·s_last| below
-// tol. vals/svecs come from SymTridiagEig (sorted ascending).
+// tol. vals/svecs come from tridiagWS.eig (sorted ascending).
 func convergedSmallest(vals []float64, svecs *linalg.Dense, beta float64, d int, tol float64) bool {
 	return convergedPrefix(vals, svecs, beta, d, tol) >= d
 }
@@ -489,63 +489,6 @@ func randomUnitInto(rng *rand.Rand, v []float64) []float64 {
 		v[0] = 1
 	}
 	return v
-}
-
-// SmallestEigenpairs computes the d smallest eigenpairs of the symmetric
-// operator a, dispatching between the dense solver (small problems, or
-// d close to n) and Lanczos (large sparse problems). This is the main
-// entry point used by the partitioning pipeline.
-//
-// The default relative residual tolerance of 1e-6 is chosen for spectral
-// partitioning, where eigenvector coordinates feed ordering heuristics
-// and residuals far below the eigenvalue gaps add cost without changing
-// any ordering. Use SmallestEigenpairsTol for stricter tolerances.
-func SmallestEigenpairs(a linalg.Operator, d int) (*Decomposition, error) {
-	return SmallestEigenpairsCtx(context.Background(), a, d, 1e-6)
-}
-
-// SmallestEigenpairsTol is SmallestEigenpairs with an explicit relative
-// residual tolerance. For large sparse operators it retries Lanczos with
-// progressively larger Krylov budgets (netlist Laplacians have tightly
-// clustered small eigenvalues, so the required subspace dimension varies
-// widely between instances).
-func SmallestEigenpairsTol(a linalg.Operator, d int, tol float64) (*Decomposition, error) {
-	return SmallestEigenpairsCtx(context.Background(), a, d, tol)
-}
-
-// SmallestEigenpairsCtx is SmallestEigenpairsTol with cooperative
-// cancellation, honoured at every solver iteration boundary. For the
-// full retry/fallback/degradation ladder, use resilience.SolveEigen,
-// which builds on this package.
-func SmallestEigenpairsCtx(ctx context.Context, a linalg.Operator, d int, tol float64) (*Decomposition, error) {
-	n := a.Dim()
-	if d > n {
-		return nil, fmt.Errorf("eigen: requested %d eigenpairs of a %d-dimensional operator", d, n)
-	}
-	if n <= 256 || d > n/3 {
-		dec, err := SymEigCtx(ctx, Densify(a))
-		if err != nil {
-			return nil, err
-		}
-		return dec.Truncate(d)
-	}
-	dim := 12*d + 100
-	if dim < 300 {
-		dim = 300
-	}
-	for {
-		if dim > n {
-			dim = n
-		}
-		dec, err := LanczosCtx(ctx, a, d, &LanczosOptions{Tol: tol, MaxDim: dim})
-		if err == nil {
-			return dec, nil
-		}
-		if !errors.Is(err, ErrNoConvergence) || dim >= n {
-			return nil, err
-		}
-		dim *= 2
-	}
 }
 
 // Densify materializes an operator as a dense matrix: directly for Dense

@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -122,7 +123,7 @@ func TestQuickCGMatchesDenseSolve(t *testing.T) {
 		for i := range diag {
 			diag[i] = spd.At(i, i)
 		}
-		x, _, err := CG(spd, b, nil, diag, &CGOptions{Tol: 1e-12, MaxIter: 50 * n})
+		x, _, err := CGCtx(context.Background(), spd, b, nil, diag, &CGOptions{Tol: 1e-12, MaxIter: 50 * n})
 		if err != nil {
 			return false
 		}

@@ -188,32 +188,6 @@ func tql2(d, e []float64, z *linalg.Dense) error {
 // unitRoundoff is the threshold used for off-diagonal negligibility tests.
 const unitRoundoff = 1e-15
 
-// SymTridiagEig computes all eigenvalues and (optionally) eigenvectors of
-// the symmetric tridiagonal matrix with diagonal diag and subdiagonal sub
-// (len(sub) == len(diag)-1). Results are sorted ascending. If wantVectors
-// is false the returned vectors matrix is nil.
-func SymTridiagEig(diag, sub []float64, wantVectors bool) (vals []float64, vecs *linalg.Dense, err error) {
-	n := len(diag)
-	if len(sub) != n-1 && !(n == 0 && len(sub) == 0) {
-		return nil, nil, errors.New("eigen: subdiagonal must have length n-1")
-	}
-	d := linalg.CopyVec(diag)
-	e := make([]float64, n)
-	copy(e[1:], sub)
-	z := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		z.Set(i, i, 1)
-	}
-	if err := tql2(d, e, z); err != nil {
-		return nil, nil, err
-	}
-	sortEigenAscending(d, z)
-	if !wantVectors {
-		z = nil
-	}
-	return d, z, nil
-}
-
 // tridiagWS is a reusable workspace for the tridiagonal
 // eigendecompositions the Lanczos convergence checks run every
 // CheckEvery steps. It exists so the Lanczos iteration loop performs no
@@ -227,7 +201,9 @@ type tridiagWS struct {
 	z    linalg.Dense
 }
 
-// eig is SymTridiagEig(diag, sub, true) into the reused workspace.
+// eig computes all eigenvalues and eigenvectors of the symmetric
+// tridiagonal matrix with diagonal diag and subdiagonal sub
+// (len(sub) == len(diag)-1) into the reused workspace, sorted ascending.
 func (ws *tridiagWS) eig(diag, sub []float64) (vals []float64, vecs *linalg.Dense, err error) {
 	n := len(diag)
 	if len(sub) != n-1 && !(n == 0 && len(sub) == 0) {

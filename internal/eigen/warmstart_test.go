@@ -16,7 +16,7 @@ func warmOperator(t *testing.T, n, d int, seed int64) (*linalg.CSR, *Decompositi
 	t.Helper()
 	g := graph.RandomConnected(n, 3*n, seed)
 	a := g.Laplacian()
-	dec, err := SmallestEigenpairsTol(a, d, warmTol)
+	dec, err := Lanczos(a, d, &LanczosOptions{Tol: warmTol})
 	if err != nil {
 		t.Fatalf("cold solve: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestEvaluateWarmSeedSeedsPerturbedOperator(t *testing.T) {
 
 	// A seeded Lanczos must converge to the same spectrum as a cold
 	// solve of the perturbed operator.
-	coldDec, err := SmallestEigenpairsTol(p.Laplacian(), 6, warmTol)
+	coldDec, err := Lanczos(p.Laplacian(), 6, &LanczosOptions{Tol: warmTol})
 	if err != nil {
 		t.Fatalf("cold solve of perturbed operator: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/melo"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 	"repro/internal/vecpart"
 )
 
@@ -71,14 +72,14 @@ func Figure1(l *Lab) error {
 func Figure2(l *Lab) error {
 	w := l.Config().Out
 	g := graph.TwoClusters(6, 6, 1, 0.5, 3)
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), 4)
+	sol, err := resilience.SolveEigen(l.cfg.Ctx, g.Laplacian(), 4, resilience.EigenPolicy{MinD: 4})
 	if err != nil {
 		return err
 	}
 	opts := melo.NewOptions()
 	opts.D = 3
 	opts.RecomputeEvery = 4
-	res, err := melo.Order(g, dec, opts)
+	res, err := melo.Order(g, sol.Dec, opts)
 	if err != nil {
 		return err
 	}

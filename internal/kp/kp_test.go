@@ -1,20 +1,22 @@
 package kp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 )
 
 func decompose(t *testing.T, g *graph.Graph, d int) *eigen.Decomposition {
 	t.Helper()
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), d)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), d, resilience.EigenPolicy{MinD: d})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dec
+	return sol.Dec
 }
 
 // threeClusters returns a graph of three dense clusters weakly joined.

@@ -96,11 +96,17 @@ func (c *CSR) MatVec(x, y []float64) {
 // order as MatVec, and rows write disjoint entries of y, so the result
 // is bitwise identical to MatVec at every worker count.
 func (c *CSR) MatVecPar(x, y []float64, workers int) {
+	c.matVecGrain(x, y, workers, matVecRowGrain)
+}
+
+// matVecGrain is MatVecPar with an explicit minimum rows per shard, so
+// the crossover benchmark can time sharding below matVecRowGrain.
+func (c *CSR) matVecGrain(x, y []float64, workers, grain int) {
 	if len(x) != c.M || len(y) != c.N {
 		panic(fmt.Sprintf("linalg: CSR MatVec dimension mismatch (%d×%d)·%d -> %d",
 			c.N, c.M, len(x), len(y)))
 	}
-	parallel.For(workers, c.N, matVecRowGrain, func(_, lo, hi int) {
+	parallel.For(workers, c.N, grain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var s float64
 			for k := c.RowPtr[i]; k < c.RowPtr[i+1]; k++ {

@@ -5,12 +5,24 @@ import "repro/internal/parallel"
 // Sharding grains for the parallel kernels: below these sizes the
 // goroutine handoff costs more than the arithmetic it distributes.
 const (
-	// matVecRowGrain is the minimum rows per MatVec shard.
-	matVecRowGrain = 512
+	// matVecRowGrain is the minimum rows per MatVec shard. It sits at
+	// the measured serial-vs-sharded crossover of a CSR MatVec
+	// (BenchmarkMatVecCrossover): on a 2-core Xeon VM two workers lose
+	// to serial at every n up to 4096 (1000: 19–24 µs serial vs 26–31
+	// µs sharded; 4096: 102–117 vs 125–151) and only break even near
+	// n = 6000.
+	matVecRowGrain = 4096
 	// axpyGrain is the minimum vector elements per element-sharded
 	// update (OrthogonalizeBlock's subtraction).
 	axpyGrain = 2048
 )
+
+// oneShard reports whether an n-row kernel fits one MatVec shard at the
+// given worker count. Par and OrthogonalizeBlockBuf both decide from it,
+// so an operator is serial in every kernel or sharded in every kernel.
+func oneShard(workers, n int) bool {
+	return parallel.NumChunks(workers, n, matVecRowGrain) <= 1
+}
 
 // parOp wraps an operator whose MatVec is row-sharded; see Par.
 type parOp struct {
@@ -21,10 +33,12 @@ type parOp struct {
 // Par returns an operator whose MatVec runs row-sharded across up to
 // workers goroutines. CSR and Dense operators shard natively; any other
 // operator is returned unchanged (its MatVec internals are opaque).
-// workers <= 1 also returns the operator unchanged. The wrapped MatVec
-// is bitwise identical to the unwrapped one at every worker count.
+// workers <= 1, or an operator that fits one MatVec shard, also returns
+// the operator unchanged: sharding it would only add the goroutine
+// handoff (and its per-call allocations). The wrapped MatVec is bitwise
+// identical to the unwrapped one at every worker count.
 func Par(a Operator, workers int) Operator {
-	if workers <= 1 {
+	if workers <= 1 || oneShard(workers, a.Dim()) {
 		return a
 	}
 	switch a.(type) {
@@ -91,7 +105,7 @@ func OrthogonalizeBlockBuf(v []float64, basis [][]float64, workers int, coef []f
 		coef = make([]float64, m)
 	}
 	coef = coef[:m]
-	if parallel.Workers(workers) == 1 {
+	if parallel.Workers(workers) == 1 || oneShard(workers, len(v)) {
 		// Serial fast path without the chunk closures: the literals
 		// passed to parallel.For escape to the heap (For may hand them
 		// to worker goroutines), which would make every

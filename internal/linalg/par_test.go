@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ func randomVec(n int, seed int64) []float64 {
 // every worker count: rows are disjoint and each row's accumulation
 // order is unchanged.
 func TestCSRMatVecParBitwiseEqualsSerial(t *testing.T) {
-	for _, n := range []int{1, 17, 700, 3000} {
+	for _, n := range []int{1, 17, 700, 3000, 2*matVecRowGrain + 17} {
 		c := randomCSR(n, 6, int64(n))
 		x := randomVec(n, 2)
 		want := make([]float64, n)
@@ -69,9 +70,11 @@ func TestDenseMatVecParBitwiseEqualsSerial(t *testing.T) {
 }
 
 func TestParOperatorWrapsAndUnwraps(t *testing.T) {
-	c := randomCSR(100, 4, 1)
-	x := randomVec(100, 3)
-	want := make([]float64, 100)
+	// Above the sharding cutoff: two or more MatVec shards.
+	n := 2 * matVecRowGrain
+	c := randomCSR(n, 4, 1)
+	x := randomVec(n, 3)
+	want := make([]float64, n)
 	c.MatVec(x, want)
 
 	p := Par(c, 4)
@@ -81,10 +84,10 @@ func TestParOperatorWrapsAndUnwraps(t *testing.T) {
 	if Unwrap(p) != Operator(c) {
 		t.Fatal("Unwrap did not recover the CSR")
 	}
-	if p.Dim() != 100 {
+	if p.Dim() != n {
 		t.Fatalf("wrapped Dim = %d", p.Dim())
 	}
-	got := make([]float64, 100)
+	got := make([]float64, n)
 	p.MatVec(x, got)
 	for i := range want {
 		if got[i] != want[i] {
@@ -97,13 +100,47 @@ func TestParOperatorWrapsAndUnwraps(t *testing.T) {
 	if Unwrap(c) != Operator(c) {
 		t.Error("Unwrap of an unwrapped operator should be the identity")
 	}
+	// At or below the cutoff the operator fits one shard and stays
+	// serial at any worker count.
+	small := randomCSR(matVecRowGrain, 4, 2)
+	if Par(small, 4) != Operator(small) {
+		t.Errorf("Par wrapped a %d-row operator that fits one shard", matVecRowGrain)
+	}
+}
+
+// BenchmarkMatVecCrossover times a CSR MatVec serially and sharded
+// across two workers on either side of matVecRowGrain; the sharded
+// variant ignores the grain, so the benchmark shows where sharding
+// starts to pay. The grain is set at the crossover it measures:
+//
+//	go test -run '^$' -bench MatVecCrossover -benchmem -count 5 ./internal/linalg/
+func BenchmarkMatVecCrossover(b *testing.B) {
+	for _, n := range []int{1000, 2000, 3014, 4096, 6000, 10000} {
+		c := randomCSR(n, 8, int64(n))
+		x := randomVec(n, 1)
+		y := make([]float64, n)
+		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.MatVec(x, y)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/workers=2", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.matVecGrain(x, y, 2, 1)
+			}
+		})
+	}
 }
 
 // OrthogonalizeBlock must be bitwise worker-invariant and must actually
 // orthogonalize: after the call, v ⊥ every basis row to working
 // precision.
 func TestOrthogonalizeBlockWorkerInvariantAndOrthogonal(t *testing.T) {
-	const n, m = 4000, 12
+	// Long enough to shard: shorter vectors take the serial path at
+	// every worker count.
+	const n, m = 2 * matVecRowGrain, 12
 	basis := make([][]float64, 0, m)
 	for b := 0; b < m; b++ {
 		v := randomVec(n, int64(100+b))

@@ -9,6 +9,7 @@
 package maxcut
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -17,6 +18,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/partition"
 	"repro/internal/probe"
+	"repro/internal/resilience"
 	"repro/internal/vecpart"
 )
 
@@ -35,10 +37,11 @@ func Instance(g *graph.Graph, d int) (*vecpart.Vectors, error) {
 	if d < 1 || d > n {
 		return nil, fmt.Errorf("maxcut: d = %d out of range [1,%d]", d, n)
 	}
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), n)
+	sol, err := resilience.SolveEigen(context.TODO(), g.Laplacian(), n, resilience.EigenPolicy{MinD: n})
 	if err != nil {
 		return nil, err
 	}
+	dec := sol.Dec
 	// Keep the d eigenpairs with the LARGEST eigenvalues: under the
 	// sqrt(λ) scaling they dominate the objective.
 	if d < n {

@@ -128,8 +128,8 @@ type Result struct {
 
 // Order constructs a MELO ordering of g's vertices. dec must hold at least
 // D+1 eigenpairs of g's Laplacian (the trivial constant eigenvector plus D
-// informative ones); compute it with eigen.SmallestEigenpairs(g.Laplacian(),
-// D+1). The complexity is O(D·n²).
+// informative ones); compute it with resilience.SolveEigen on
+// g.Laplacian() for D+1 pairs. The complexity is O(D·n²).
 func Order(g *graph.Graph, dec *eigen.Decomposition, opts Options) (*Result, error) {
 	return OrderCtx(context.Background(), g, dec, opts)
 }

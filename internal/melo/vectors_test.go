@@ -11,93 +11,6 @@ import (
 	"repro/internal/vecpart"
 )
 
-func vectorInstance(t *testing.T, g *graph.Graph, d int) *vecpart.Vectors {
-	t.Helper()
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), d+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := g.N()
-	// Drop the trivial eigenvector.
-	trimmed := make([]float64, d)
-	copy(trimmed, dec.Values[1:d+1])
-	H := vecpart.ChooseH(g.TotalDegree(), dec.Values[:d+1], n)
-	full, err := dec.Truncate(d + 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := vecpart.FromDecomposition(full, d+1, vecpart.MaxSum, H)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-func TestOrderVectorsIsPermutation(t *testing.T) {
-	g := graph.RandomConnected(50, 120, 5)
-	v := vectorInstance(t, g, 6)
-	for s := Scheme(0); s < NumSchemes; s++ {
-		res, err := OrderVectors(v, s)
-		if err != nil {
-			t.Fatalf("scheme %v: %v", s, err)
-		}
-		if !isPermutation(res.Order, g.N()) {
-			t.Errorf("scheme %v: not a permutation", s)
-		}
-	}
-}
-
-func TestOrderVectorsSeparatesClusters(t *testing.T) {
-	g := graph.TwoClusters(16, 16, 2, 0.2, 9)
-	v := vectorInstance(t, g, 5)
-	res, err := OrderVectors(v, SchemeGain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	side := res.Order[0] < 16
-	mixed := false
-	for _, u := range res.Order[:16] {
-		if (u < 16) != side {
-			mixed = true
-			break
-		}
-	}
-	if mixed {
-		t.Error("first half of the ordering mixes planted clusters")
-	}
-}
-
-func TestOrderVectorsObjectiveConsistent(t *testing.T) {
-	// The recorded objective must equal ‖Σ placed vectors‖² at each step.
-	g := graph.RandomConnected(20, 50, 3)
-	v := vectorInstance(t, g, 4)
-	res, err := OrderVectors(v, SchemeGain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := make([]float64, v.D())
-	for tstep, vtx := range res.Order {
-		row := v.Row(vtx)
-		for j := range sum {
-			sum[j] += row[j]
-		}
-		var ns float64
-		for _, x := range sum {
-			ns += x * x
-		}
-		if math.Abs(ns-res.Objective[tstep]) > 1e-9*(1+ns) {
-			t.Fatalf("step %d: recorded %v, actual %v", tstep, res.Objective[tstep], ns)
-		}
-	}
-}
-
-func TestOrderVectorsEmpty(t *testing.T) {
-	v := &vecpart.Vectors{Y: linalg.NewDense(0, 0)}
-	if _, err := OrderVectors(v, SchemeGain); err == nil {
-		t.Error("empty instance accepted")
-	}
-}
-
 // fullDecomposition returns all n eigenpairs of g's Laplacian — the
 // exact d = n setting of the paper's Corollaries 5 and 6.
 func fullDecomposition(t *testing.T, g *graph.Graph) *eigen.Decomposition {

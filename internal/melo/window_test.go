@@ -1,11 +1,13 @@
 package melo
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dprp"
 	"repro/internal/eigen"
 	"repro/internal/graph"
+	"repro/internal/resilience"
 )
 
 func TestCandidateWindowIsPermutation(t *testing.T) {
@@ -103,5 +105,9 @@ func BenchmarkCandidateWindow(b *testing.B) {
 }
 
 func decomposeB(g *graph.Graph, d int) (*eigen.Decomposition, error) {
-	return eigen.SmallestEigenpairs(g.Laplacian(), d+1)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), d+1, resilience.EigenPolicy{MinD: d + 1})
+	if err != nil {
+		return nil, err
+	}
+	return sol.Dec, nil
 }

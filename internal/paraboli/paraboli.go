@@ -26,6 +26,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
 	"repro/internal/linalg"
+	"repro/internal/resilience"
 )
 
 // Options configures the placer.
@@ -77,11 +78,13 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 
 	// Seeds: Fiedler extremes. On a disconnected graph the Fiedler vector
 	// separates components, which still yields usable far-apart seeds.
-	dec, err := eigen.SmallestEigenpairsCtx(ctx, lap, 2, 0)
+	// Tighter than the ladder's ordering-grade default: each seed is a
+	// single extreme coordinate of the Fiedler vector.
+	sol, err := resilience.SolveEigen(ctx, lap, 2, resilience.EigenPolicy{Tol: 1e-9})
 	if err != nil {
 		return dprp.SplitResult{}, fmt.Errorf("paraboli: eigensolve: %v", err)
 	}
-	fiedler := dec.Vector(1)
+	fiedler := sol.Dec.Vector(1)
 	seedLo, seedHi := 0, 0
 	for i := 1; i < n; i++ {
 		if fiedler[i] < fiedler[seedLo] {

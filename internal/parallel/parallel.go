@@ -12,7 +12,7 @@
 // and parallel runs are bitwise identical, which is what lets the
 // partest equivalence suite demand exact orderings and partitions.
 //
-// The process-wide default worker count is Limit() (runtime.NumCPU
+// The process-wide default worker count is Limit() (runtime.GOMAXPROCS
 // unless overridden by SetLimit, e.g. from spectrald's -parallelism
 // flag); per-call worker counts resolve through Workers.
 package parallel
@@ -26,21 +26,23 @@ import (
 )
 
 // limit holds the process-wide worker cap; 0 means "unset, use
-// runtime.NumCPU()".
+// runtime.GOMAXPROCS(0)".
 var limit atomic.Int32
 
 // Limit returns the process-wide default worker count: the last value
-// passed to SetLimit, or runtime.NumCPU() if never set.
+// passed to SetLimit, or runtime.GOMAXPROCS(0) if never set, so a
+// process pinned to fewer threads than cores (GOMAXPROCS=1, a CPU
+// quota) also runs its kernels on fewer workers.
 func Limit() int {
 	if v := limit.Load(); v > 0 {
 		return int(v)
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // SetLimit sets the process-wide default worker count used when a
 // kernel is invoked with workers <= 0. n <= 0 resets to
-// runtime.NumCPU(). Safe for concurrent use; kernels already running
+// runtime.GOMAXPROCS(0). Safe for concurrent use; kernels already running
 // keep the worker count they resolved at entry.
 func SetLimit(n int) {
 	if n < 0 {
@@ -56,7 +58,7 @@ func SetLimit(n int) {
 // actually bound per-job worker counts arriving through job options —
 // without it an explicit per-job request overrode the process cap.
 // When no limit has been set, explicit requests pass through unclamped
-// (the NumCPU default is a sizing hint, not an operator instruction;
+// (the GOMAXPROCS default is a sizing hint, not an operator instruction;
 // equivalence and race tests legitimately run more workers than cores).
 func Workers(requested int) int {
 	if requested >= 1 {

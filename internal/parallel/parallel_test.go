@@ -8,10 +8,15 @@ import (
 	"repro/internal/trace"
 )
 
-func TestLimitDefaultsToNumCPU(t *testing.T) {
+func TestLimitDefaultsToGOMAXPROCS(t *testing.T) {
 	SetLimit(0)
-	if got := Limit(); got != runtime.NumCPU() {
-		t.Errorf("Limit() = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := Limit(); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Limit() = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	}
+	// The default follows GOMAXPROCS, not the core count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Limit(); got != 1 {
+		t.Errorf("Limit() = %d under GOMAXPROCS=1, want 1", got)
 	}
 }
 
@@ -22,8 +27,8 @@ func TestSetLimitRoundTrip(t *testing.T) {
 		t.Errorf("Limit() = %d after SetLimit(3)", got)
 	}
 	SetLimit(-5)
-	if got := Limit(); got != runtime.NumCPU() {
-		t.Errorf("Limit() = %d after SetLimit(-5), want NumCPU", got)
+	if got := Limit(); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Limit() = %d after SetLimit(-5), want GOMAXPROCS", got)
 	}
 }
 
@@ -38,7 +43,7 @@ func TestWorkersResolution(t *testing.T) {
 		}
 	}
 	// Without an explicit limit the clamp is off: explicit requests pass
-	// through even above NumCPU (equivalence tests rely on this).
+	// through even above GOMAXPROCS (equivalence tests rely on this).
 	SetLimit(0)
 	if got := Workers(7); got != 7 {
 		t.Errorf("Workers(7) with no limit = %d, want 7", got)

@@ -1,6 +1,7 @@
 package partest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/melo"
 	"repro/internal/parallel"
+	"repro/internal/resilience"
 )
 
 // benchGraph synthesizes a large netlist-derived Laplacian once per
@@ -68,10 +70,11 @@ func BenchmarkLanczosParallel(b *testing.B) { benchLanczos(b, parallel.Limit()) 
 
 func benchMELO(b *testing.B, workers int) {
 	g := benchGraph(b, 2000)
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), 9)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), 9, resilience.EigenPolicy{MinD: 9})
 	if err != nil {
 		b.Fatal(err)
 	}
+	dec := sol.Dec
 	opts := melo.NewOptions()
 	opts.D = 8
 	opts.Workers = workers

@@ -1,14 +1,15 @@
 package partest
 
 import (
+	"context"
 	"sync"
 	"testing"
 
-	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/linalg"
 	"repro/internal/melo"
 	"repro/internal/parallel"
+	"repro/internal/resilience"
 )
 
 // The stress tests hammer the parallel kernels from many goroutines at
@@ -64,10 +65,11 @@ func TestStressConcurrentOrderings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), 7)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), 7, resilience.EigenPolicy{MinD: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec := sol.Dec
 	base := melo.NewOptions()
 	base.D = 6
 	base.Workers = 1

@@ -15,16 +15,6 @@ func ClusterAreas(h *hypergraph.Hypergraph, p *Partition) []float64 {
 	return a
 }
 
-// IsAreaBalanced reports whether every cluster's area lies in [lo, hi].
-func IsAreaBalanced(h *hypergraph.Hypergraph, p *Partition, lo, hi float64) bool {
-	for _, a := range ClusterAreas(h, p) {
-		if a < lo || a > hi {
-			return false
-		}
-	}
-	return true
-}
-
 // AreaScaledCost is the Scaled Cost objective with cluster sizes measured
 // in area instead of module count: (1/(A·(k−1)))·Σ_h E_h/area(C_h), where
 // A is the total area. For unit areas it equals ScaledCost.

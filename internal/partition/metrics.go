@@ -114,22 +114,6 @@ func ScaledCost(h *hypergraph.Hypergraph, p *Partition) float64 {
 	return sum / (float64(n) * float64(p.K-1))
 }
 
-// GraphScaledCost is ScaledCost computed on a weighted graph instead of a
-// hypergraph, using E_h = weighted cut degree of cluster h.
-func GraphScaledCost(g *graph.Graph, p *Partition) float64 {
-	n := g.N()
-	sizes := p.Sizes()
-	e := ClusterCutDegrees(g, p)
-	var sum float64
-	for c := 0; c < p.K; c++ {
-		if sizes[c] == 0 {
-			return inf()
-		}
-		sum += e[c] / float64(sizes[c])
-	}
-	return sum / (float64(n) * float64(p.K-1))
-}
-
 // RatioCut returns cut/(|C_1|·|C_2|) for a bipartition over the
 // hypergraph net cut. It panics if p.K != 2.
 func RatioCut(h *hypergraph.Hypergraph, p *Partition) float64 {

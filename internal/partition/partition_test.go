@@ -211,18 +211,15 @@ func TestScaledCostEmptyClusterIsInf(t *testing.T) {
 	}
 }
 
-func TestGraphScaledCostAndRatioCut(t *testing.T) {
+func TestGraphRatioCut(t *testing.T) {
 	g := graph.Path(4)
 	p := MustNew([]int{0, 0, 1, 1}, 2)
-	// cut = 1, sizes 2/2: ratio cut 0.25; scaled cost (1/(4·1))·(1/2+1/2) = 0.25.
+	// cut = 1, sizes 2/2: ratio cut 0.25.
 	if got := GraphRatioCut(g, p); math.Abs(got-0.25) > 1e-15 {
 		t.Errorf("GraphRatioCut = %v", got)
 	}
-	if got := GraphScaledCost(g, p); math.Abs(got-0.25) > 1e-15 {
-		t.Errorf("GraphScaledCost = %v", got)
-	}
 	empty := MustNew([]int{0, 0, 0, 0}, 2)
-	if !math.IsInf(GraphScaledCost(g, empty), 1) || !math.IsInf(GraphRatioCut(g, empty), 1) {
+	if !math.IsInf(GraphRatioCut(g, empty), 1) {
 		t.Error("empty cluster should be +Inf")
 	}
 }

@@ -13,8 +13,10 @@ import (
 // EigenPolicy configures SolveEigen's retry ladder. The zero value
 // selects the defaults noted on each field.
 type EigenPolicy struct {
-	// Tol is the relative residual tolerance. Default 1e-6 (the
-	// pipeline's ordering-grade tolerance; see eigen.SmallestEigenpairs).
+	// Tol is the relative residual tolerance. Default 1e-6, the
+	// pipeline's ordering-grade tolerance: eigenvector coordinates feed
+	// ordering heuristics, and residuals far below the eigenvalue gaps
+	// add cost without changing any ordering.
 	Tol float64
 	// MaxSparseAttempts bounds the Lanczos attempts (initial try plus
 	// seed-restarts with escalated Krylov caps). Default 3.

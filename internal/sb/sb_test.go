@@ -1,6 +1,7 @@
 package sb
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eigen"
@@ -8,15 +9,16 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/linalg"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 )
 
 func decompose(t *testing.T, g *graph.Graph) *eigen.Decomposition {
 	t.Helper()
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), 2)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), 2, resilience.EigenPolicy{MinD: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dec
+	return sol.Dec
 }
 
 // pathNetlist builds the hypergraph whose clique expansion is the path.

@@ -1,20 +1,22 @@
 package sfc
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dprp"
 	"repro/internal/eigen"
 	"repro/internal/graph"
+	"repro/internal/resilience"
 )
 
 func decompose(t *testing.T, g *graph.Graph, d int) *eigen.Decomposition {
 	t.Helper()
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), d+1)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), d+1, resilience.EigenPolicy{MinD: d + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dec
+	return sol.Dec
 }
 
 func isPermutation(order []int, n int) bool {

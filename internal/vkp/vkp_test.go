@@ -1,12 +1,13 @@
 package vkp
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/resilience"
 	"repro/internal/vecpart"
 )
 
@@ -16,10 +17,11 @@ func instance(t *testing.T, g *graph.Graph, d int) *vecpart.Vectors {
 	if d > n {
 		d = n
 	}
-	dec, err := eigen.SmallestEigenpairs(g.Laplacian(), n)
+	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), n, resilience.EigenPolicy{MinD: n})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec := sol.Dec
 	H := vecpart.ChooseH(g.TotalDegree(), dec.Values[:d], n)
 	trunc, err := dec.Truncate(d)
 	if err != nil {

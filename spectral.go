@@ -149,7 +149,7 @@ type Options struct {
 	// (row-sharded MatVec, block Gram–Schmidt reorthogonalization,
 	// MELO's candidate scans, per-component eigensolves) may use for
 	// this run. 0 selects the process-wide default (parallel.Limit(),
-	// normally runtime.NumCPU, settable via spectrald -parallelism); 1
+	// normally runtime.GOMAXPROCS, settable via spectrald -parallelism); 1
 	// forces serial execution. The kernels fix their arithmetic order
 	// independently of the worker count, so every setting produces the
 	// same partitioning and the same ordering, bit for bit (see
