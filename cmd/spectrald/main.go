@@ -33,7 +33,8 @@
 //
 // -max-queue-wait fails jobs that sat queued longer than the bound;
 // -shed-policy selects what sustained queue pressure does to new jobs
-// (degrade them to a cheaper eigenvector count, or reject early).
+// (degrade the ones whose method consumes d — MELO, VKP, order — to a
+// cheaper eigenvector count, or reject early).
 //
 // -store-dir adds a persistent spectrum tier behind the in-memory LRU:
 // computed eigendecompositions are written to CRC-framed files in that

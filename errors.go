@@ -43,9 +43,11 @@ func (e *PipelineError) Error() string {
 func (e *PipelineError) Unwrap() error { return e.Err }
 
 // wrapPipelineErr converts an internal error into a *PipelineError
-// attributed to the given method. Context errors pass through untouched;
-// stage attributions recorded deeper in the pipeline win over fallback.
-func wrapPipelineErr(m Method, fallback resilience.Stage, err error) error {
+// attributed to the given method and stage. Context errors pass through
+// untouched, and an error already attributed deeper in the pipeline (a
+// recovered panic, or a nested pipeline such as the multilevel coarsest
+// solve) keeps its attribution.
+func wrapPipelineErr(m Method, stage resilience.Stage, err error) error {
 	if err == nil || resilience.IsContextError(err) {
 		return err
 	}
@@ -53,15 +55,7 @@ func wrapPipelineErr(m Method, fallback resilience.Stage, err error) error {
 	if errors.As(err, &pe) {
 		return err
 	}
-	stage := fallback
-	cause := err
-	var se *resilience.StageError
-	if errors.As(err, &se) {
-		stage = se.Stage
-		cause = se.Err
-		return &PipelineError{Stage: string(stage), Method: m, Err: cause, Panicked: se.Panicked, Stack: se.Stack}
-	}
-	return &PipelineError{Stage: string(stage), Method: m, Err: cause}
+	return &PipelineError{Stage: string(stage), Method: m, Err: err}
 }
 
 // ValidateNetlist checks a netlist before it enters the pipeline: it

@@ -8,13 +8,10 @@ package spectral
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bounds"
 	"repro/internal/cluster"
-	"repro/internal/eigen"
 	"repro/internal/graph"
-	"repro/internal/linalg"
 	"repro/internal/probe"
 	"repro/internal/resilience"
 	"repro/internal/vecpart"
@@ -31,34 +28,6 @@ func Cluster(h *Netlist, leafSize int) (*ClusterTree, error) {
 	return cluster.Build(h, cluster.Options{LeafSize: leafSize, Model: graph.PartitioningSpecific})
 }
 
-// vectorInstance builds the paper's max-sum vector instance from up to d
-// non-trivial eigenvectors: the trivial one is skipped and the rest are
-// scaled with the truncation-balanced H.
-func vectorInstance(g *graph.Graph, dec *eigen.Decomposition, d int) (*vecpart.Vectors, error) {
-	used := min(d, dec.D()-1)
-	if used < 1 {
-		return nil, fmt.Errorf("spectral: netlist too small for vector partitioning")
-	}
-	trimmed := trimTrivial(dec, used)
-	H := vecpart.ChooseH(g.TotalDegree(), append([]float64{0}, trimmed.Values...), g.N())
-	return vecpart.FromDecomposition(trimmed, used, vecpart.MaxSum, H)
-}
-
-// trimTrivial drops the first (constant) eigenpair and keeps d pairs.
-func trimTrivial(dec *eigen.Decomposition, d int) *eigen.Decomposition {
-	n := dec.Vectors.Rows
-	trimmed := linalg.NewDense(n, d)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			trimmed.Set(i, j, dec.Vectors.At(i, j+1))
-		}
-	}
-	return &eigen.Decomposition{
-		Values:  append([]float64(nil), dec.Values[1:d+1]...),
-		Vectors: trimmed,
-	}
-}
-
 // ProbeBipartition runs the Frankle–Karp probe-vector bipartitioner on
 // the netlist's vector instance: probes directions in d-space, rounds
 // each to the best-projecting bipartition, keeps the best.
@@ -73,7 +42,7 @@ func ProbeBipartition(h *Netlist, d, probes int, minFrac float64) (*Partitioning
 	if err != nil {
 		return nil, err
 	}
-	v, err := vectorInstance(sp.g, sp.dec, d)
+	v, err := vecpart.MaxSumInstance(sp.dec, d, sp.g.TotalDegree())
 	if err != nil {
 		return nil, err
 	}

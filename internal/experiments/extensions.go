@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/barnes"
-	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/hl"
-	"repro/internal/linalg"
 	"repro/internal/melo"
 	"repro/internal/partition"
 	"repro/internal/vecpart"
@@ -49,16 +47,7 @@ func TableExtensions(l *Lab) error {
 		out.melo = meloSC
 
 		// VKP on the same eigenvectors.
-		used := cfg.D
-		if used > dec.D()-1 {
-			used = dec.D() - 1
-		}
-		trimmed, err := trimTrivialPairs(dec, used)
-		if err != nil {
-			return out, err
-		}
-		H := vecpart.ChooseH(g.TotalDegree(), append([]float64{0}, trimmed.Values...), g.N())
-		vectors, err := vecpart.FromDecomposition(trimmed, used, vecpart.MaxSum, H)
+		vectors, err := vecpart.MaxSumInstance(dec, cfg.D, g.TotalDegree())
 		if err != nil {
 			return out, err
 		}
@@ -105,25 +94,4 @@ func TableExtensions(l *Lab) error {
 		fmt.Sprintf("%+.1f%%", avgImprovement(hlV, meloV)))
 	t.render(cfg.Out, "Extensions: 4-way Scaled Cost (x1e4) — MELO vs direct vector k-partitioning vs Barnes vs Hendrickson-Leland")
 	return nil
-}
-
-// trimTrivialPairs drops the trivial eigenpair and keeps d pairs.
-func trimTrivialPairs(dec *eigen.Decomposition, d int) (*eigen.Decomposition, error) {
-	if dec.D() < d+1 {
-		return nil, fmt.Errorf("experiments: decomposition has %d pairs, need %d", dec.D(), d+1)
-	}
-	full, err := dec.Truncate(d + 1)
-	if err != nil {
-		return nil, err
-	}
-	n := full.Vectors.Rows
-	out := linalg.NewDense(n, d)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			out.Set(i, j, full.Vectors.At(i, j+1))
-		}
-	}
-	vals := make([]float64, d)
-	copy(vals, full.Values[1:])
-	return &eigen.Decomposition{Values: vals, Vectors: out}, nil
 }

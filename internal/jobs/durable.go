@@ -25,33 +25,26 @@ var ErrJournal = errors.New("jobs: journal append failed")
 
 // specOf serializes a request for the journal.
 func specOf(req Request, shedFromD int) *journal.JobSpec {
+	o := req.Opts
 	s := &journal.JobSpec{
-		Kind:      string(req.Kind),
-		TimeoutNS: int64(req.Timeout),
-		ShedFromD: shedFromD,
+		Kind:             string(req.Kind),
+		Method:           req.Kind.journaledMethod(o.Method),
+		K:                o.K,
+		D:                o.D,
+		Scheme:           o.Scheme,
+		MinFrac:          o.MinFrac,
+		Refine:           o.Refine,
+		Parallelism:      o.Parallelism,
+		CoarsenThreshold: o.CoarsenThreshold,
+		MaxLevels:        o.MaxLevels,
+		RefinePasses:     o.RefinePasses,
+		TimeoutNS:        int64(req.Timeout),
+		ShedFromD:        shedFromD,
+		BaseHash:         req.BaseHash,
 	}
-	if req.Kind == KindOrder {
-		s.D = req.D
-		s.Scheme = req.Scheme
-	} else {
-		o := req.Opts
-		s.Method = o.Method.String()
-		s.K = o.K
-		s.D = o.D
-		s.Scheme = o.Scheme
-		s.MinFrac = o.MinFrac
-		s.Refine = o.Refine
-		s.Parallelism = o.Parallelism
-		s.CoarsenThreshold = o.CoarsenThreshold
-		s.MaxLevels = o.MaxLevels
-		s.RefinePasses = o.RefinePasses
-	}
-	if req.Kind == KindDelta {
-		s.BaseHash = req.BaseHash
-		if req.Delta != nil {
-			if b, err := json.Marshal(req.Delta); err == nil {
-				s.Delta = b
-			}
+	if req.Delta != nil {
+		if b, err := json.Marshal(req.Delta); err == nil {
+			s.Delta = b
 		}
 	}
 	return s
@@ -60,17 +53,20 @@ func specOf(req Request, shedFromD int) *journal.JobSpec {
 // requestOf rebuilds a Request from a replayed spec. The netlist is
 // attached by the caller.
 func requestOf(spec *journal.JobSpec, hash string) (Request, error) {
-	req := Request{Hash: hash, Kind: Kind(spec.Kind), Timeout: time.Duration(spec.TimeoutNS)}
-	switch req.Kind {
-	case KindOrder:
-		req.D = spec.D
-		req.Scheme = spec.Scheme
-	case KindPartition, KindDelta:
-		method, err := spectral.ParseMethod(spec.Method)
-		if err != nil {
+	kind := Kind(spec.Kind)
+	if !kind.known() {
+		return Request{}, fmt.Errorf("jobs: replayed spec has unknown kind %q", spec.Kind)
+	}
+	method := spectral.MELO // order specs name no method
+	if kind != KindOrder {
+		var err error
+		if method, err = spectral.ParseMethod(spec.Method); err != nil {
 			return Request{}, err
 		}
-		req.Opts = spectral.Options{
+	}
+	req := Request{
+		Hash: hash, Kind: kind, Timeout: time.Duration(spec.TimeoutNS),
+		Opts: spectral.Options{
 			Method:           method,
 			K:                spec.K,
 			D:                spec.D,
@@ -81,19 +77,15 @@ func requestOf(spec *journal.JobSpec, hash string) (Request, error) {
 			CoarsenThreshold: spec.CoarsenThreshold,
 			MaxLevels:        spec.MaxLevels,
 			RefinePasses:     spec.RefinePasses,
+		},
+		BaseHash: spec.BaseHash,
+	}
+	if len(spec.Delta) > 0 {
+		var d delta.Delta
+		if err := json.Unmarshal(spec.Delta, &d); err != nil {
+			return Request{}, fmt.Errorf("jobs: replayed delta spec: %w", err)
 		}
-		if req.Kind == KindDelta {
-			req.BaseHash = spec.BaseHash
-			if len(spec.Delta) > 0 {
-				var d delta.Delta
-				if err := json.Unmarshal(spec.Delta, &d); err != nil {
-					return Request{}, fmt.Errorf("jobs: replayed delta spec: %w", err)
-				}
-				req.Delta = &d
-			}
-		}
-	default:
-		return Request{}, fmt.Errorf("jobs: replayed spec has unknown kind %q", spec.Kind)
+		req.Delta = &d
 	}
 	return req, nil
 }
@@ -134,10 +126,10 @@ func (p *Pool) journalSubmit(j *Job) error {
 		p.noteJournalError()
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
-	if j.req.Kind == KindDelta && j.req.BaseNetlist != nil {
-		// The base body must survive too: replay re-partitions the base
-		// for the stability report, and can rebuild the mutated netlist
-		// from base+delta if the mutated record is damaged.
+	if j.req.BaseNetlist != nil {
+		// A delta job's base body must survive too: replay re-partitions
+		// the base for the stability report, and can rebuild the mutated
+		// netlist from base+delta if the mutated record is damaged.
 		var bbuf bytes.Buffer
 		if err := spectral.SaveNetlist(&bbuf, "", j.req.BaseNetlist); err != nil {
 			return fmt.Errorf("%w: serialize base netlist: %v", ErrJournal, err)
@@ -615,9 +607,7 @@ func (p *Pool) snapshotRecords() []journal.Record {
 	}
 	for _, j := range jobs {
 		addNet(j.req.Hash, j.req.Netlist)
-		if j.req.Kind == KindDelta {
-			addNet(j.req.BaseHash, j.req.BaseNetlist)
-		}
+		addNet(j.req.BaseHash, j.req.BaseNetlist)
 	}
 	for _, j := range jobs {
 		recs = append(recs, journal.Record{

@@ -48,14 +48,14 @@ func TestJournalRestoreRoundTrip(t *testing.T) {
 	}
 	p1.Start()
 
-	finished, err := p1.Submit(Request{Netlist: h, Kind: KindOrder, D: 5})
+	finished, err := p1.Submit(Request{Netlist: h, Kind: KindOrder, Opts: spectral.Options{D: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	release <- struct{}{}
 	waitDone(t, finished)
 
-	running, err := p1.Submit(Request{Netlist: h, Kind: KindOrder, D: 5})
+	running, err := p1.Submit(Request{Netlist: h, Kind: KindOrder, Opts: spectral.Options{D: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRestoreHonoursPendingCancel(t *testing.T) {
 	for hog.State() != Running {
 		time.Sleep(time.Millisecond)
 	}
-	victim, err := p1.Submit(Request{Netlist: h, Kind: KindOrder, D: 3})
+	victim, err := p1.Submit(Request{Netlist: h, Kind: KindOrder, Opts: spectral.Options{D: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,9 +580,9 @@ func TestPanicIsolation(t *testing.T) {
 
 // shedTestPool builds a 1-worker pool whose worker parks on the first
 // job, so queue depth is fully controlled by Submit calls.
-func shedTestPool(t *testing.T, policy ShedPolicy) (*Pool, chan struct{}) {
+func shedTestPool(t *testing.T, policy ShedPolicy, depth int) (*Pool, chan struct{}) {
 	t.Helper()
-	p := NewPool(Config{Workers: 1, QueueDepth: 16, ShedPolicy: policy})
+	p := NewPool(Config{Workers: 1, QueueDepth: depth, ShedPolicy: policy})
 	release := make(chan struct{})
 	p.runFn = func(ctx context.Context, j *Job) (*Result, error) {
 		select {
@@ -601,7 +601,7 @@ func shedTestPool(t *testing.T, policy ShedPolicy) (*Pool, chan struct{}) {
 func TestShedDegradeUnderSustainedPressure(t *testing.T) {
 	defer leakCheck(t)()
 	h := testNetlist(t)
-	p, release := shedTestPool(t, ShedDegrade)
+	p, release := shedTestPool(t, ShedDegrade, 16)
 	defer p.Shutdown(context.Background())
 
 	submitOrder := func() *Job {
@@ -652,12 +652,71 @@ func TestShedDegradeUnderSustainedPressure(t *testing.T) {
 	}
 }
 
+// ShedDegrade sheds only jobs whose decomposition shrinks with d, and
+// labels and counts only those: a method with a fixed-size spectrum (SB,
+// KP, SFC, HL) or none (RSB) is admitted exactly as submitted.
+func TestShedDegradeOnlyShedsMethodsThatConsumeD(t *testing.T) {
+	defer leakCheck(t)()
+	h := testNetlist(t)
+	p, release := shedTestPool(t, ShedDegrade, 64)
+	defer func() {
+		close(release)
+		p.Shutdown(context.Background())
+	}()
+	submit := func(req Request) *Job {
+		t.Helper()
+		req.Netlist = h
+		j, err := p.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	for !p.Stats().Shed.Active {
+		submit(Request{Kind: KindOrder})
+	}
+	before := p.Stats().Shed.Degraded
+
+	part := func(m spectral.Method, k, d int) Request {
+		return Request{Opts: spectral.Options{Method: m, K: k, D: d}}
+	}
+	cases := []struct {
+		name         string
+		req          Request
+		d, shedFromD int
+	}{
+		{"order default d", Request{Kind: KindOrder}, 5, 10},
+		{"order d=3", Request{Kind: KindOrder, Opts: spectral.Options{D: 3}}, 2, 3},
+		{"melo default d", part(spectral.MELO, 2, 0), 5, 10},
+		{"vkp d=8", part(spectral.VKP, 3, 8), 4, 8},
+		{"melo at the floor", part(spectral.MELO, 2, 2), 2, 0},
+		{"sb", part(spectral.SB, 2, 0), 0, 0},
+		{"kp", part(spectral.KP, 2, 0), 0, 0},
+		{"sfc", part(spectral.SFC, 2, 0), 0, 0},
+		{"hl", part(spectral.HL, 4, 0), 0, 0},
+		{"rsb", part(spectral.RSB, 2, 0), 0, 0},
+	}
+	var shed uint64
+	for _, c := range cases {
+		st := submit(c.req).Status()
+		if st.D != c.d || st.ShedFromD != c.shedFromD {
+			t.Errorf("%s: d=%d shedFromD=%d, want d=%d shedFromD=%d", c.name, st.D, st.ShedFromD, c.d, c.shedFromD)
+		}
+		if c.shedFromD != 0 {
+			shed++
+		}
+	}
+	if sh := p.Stats().Shed; !sh.Active || sh.Degraded-before != shed {
+		t.Errorf("shed stats = %+v, want still active with %d more degraded", sh, shed)
+	}
+}
+
 // ShedReject refuses new work under sustained pressure before the queue
 // is physically full.
 func TestShedRejectUnderSustainedPressure(t *testing.T) {
 	defer leakCheck(t)()
 	h := testNetlist(t)
-	p, release := shedTestPool(t, ShedReject)
+	p, release := shedTestPool(t, ShedReject, 16)
 	defer func() {
 		close(release)
 		p.Shutdown(context.Background())

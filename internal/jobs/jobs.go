@@ -40,6 +40,19 @@ const (
 	KindDelta Kind = "delta"
 )
 
+func (k Kind) known() bool { return k == KindPartition || k == KindOrder || k == KindDelta }
+
+// journaledMethod is the method name a job of kind k writes to its
+// journal spec. An order job is always MELO, and the order specs already
+// on disk name no method, so none is written for it: every order spec
+// keeps that one format.
+func (k Kind) journaledMethod(m spectral.Method) string {
+	if k == KindOrder {
+		return ""
+	}
+	return m.String()
+}
+
 // State is a job's lifecycle state.
 type State string
 
@@ -67,13 +80,12 @@ type Request struct {
 	// Hash is the netlist's content fingerprint used as the spectrum
 	// cache key; empty means "compute it from the netlist".
 	Hash string
-	// Kind selects partition vs ordering. Default KindPartition.
+	// Kind selects partition, ordering or delta. Default KindPartition.
 	Kind Kind
-	// Opts configures a KindPartition job.
+	// Opts configures the job. A KindOrder job is the MELO partition
+	// pipeline stopped before the split: it reads only D and Scheme
+	// (0 selects the façade defaults), and Submit clears the rest.
 	Opts spectral.Options
-	// D and Scheme configure a KindOrder job (0 selects the façade
-	// defaults).
-	D, Scheme int
 	// Timeout, when positive, is the job's end-to-end deadline measured
 	// from submission — queue wait included. It propagates into the
 	// job's context, so the whole solver pipeline observes it; an
@@ -141,8 +153,9 @@ type Status struct {
 	SolveSeconds    float64 `json:"solveSeconds"`
 	// TimeoutSeconds echoes the request deadline (0 = none).
 	TimeoutSeconds float64 `json:"timeoutSeconds,omitempty"`
-	// ShedFromD is the originally requested d when overload control
-	// degraded this job to a smaller decomposition.
+	// ShedFromD is the eigenvector count the job would have used (its
+	// requested d, defaulted) when overload control degraded it to a
+	// smaller decomposition.
 	ShedFromD int `json:"shedFromD,omitempty"`
 	// BaseHash identifies a KindDelta job's base netlist.
 	BaseHash string `json:"baseHash,omitempty"`
@@ -218,10 +231,14 @@ func (j *Job) Result() (*Result, error) {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	o := j.req.Opts
 	s := Status{
 		ID:              j.id,
 		Kind:            j.req.Kind,
 		State:           j.state,
+		Method:          o.Method.String(),
+		K:               o.K,
+		D:               o.D,
 		Hash:            j.req.Hash,
 		Created:         j.created,
 		QueueSeconds:    j.queueDur.Seconds(),
@@ -229,23 +246,9 @@ func (j *Job) Status() Status {
 		SolveSeconds:    j.solveDur.Seconds(),
 		TimeoutSeconds:  j.req.Timeout.Seconds(),
 		ShedFromD:       j.shedFromD,
+		BaseHash:        j.req.BaseHash,
 		Restored:        j.restored,
 		Result:          j.result,
-	}
-	if j.req.Kind == KindOrder {
-		s.Method = "melo"
-		s.D = j.req.D
-	} else if j.req.Kind == KindDelta {
-		o := j.req.Opts
-		s.Method = o.Method.String()
-		s.K = o.K
-		s.D = o.D
-		s.BaseHash = j.req.BaseHash
-	} else {
-		o := j.req.Opts
-		s.Method = o.Method.String()
-		s.K = o.K
-		s.D = o.D
 	}
 	if !j.started.IsZero() {
 		t := j.started

@@ -2,12 +2,14 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"testing"
 	"time"
 
 	spectral "repro"
+	"repro/internal/speccache"
 )
 
 // leakCheck snapshots the goroutine count and returns a func that fails
@@ -79,7 +81,7 @@ func TestSpectrumReusedAcrossMethodsAndK(t *testing.T) {
 		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 4, Method: spectral.MELO}},
 		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.SFC}},
 		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.SB}},
-		{Netlist: h, Kind: KindOrder, D: 5},
+		{Netlist: h, Kind: KindOrder, Opts: spectral.Options{D: 5}},
 	}
 	for i, req := range reusers {
 		j, err := p.Submit(req)
@@ -411,7 +413,7 @@ func equivalenceRequests(h *spectral.Netlist) []Request {
 		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.SFC}},
 		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.SB}},
 		{Netlist: h, Kind: KindPartition, Opts: spectral.Options{K: 2, Method: spectral.KP}},
-		{Netlist: h, Kind: KindOrder, D: 5},
+		{Netlist: h, Kind: KindOrder, Opts: spectral.Options{D: 5}},
 	}
 }
 
@@ -515,5 +517,86 @@ func TestIncompatibleJobsDoNotCoalesce(t *testing.T) {
 	runAll(t, p, reqs)
 	if st := p.Stats(); st.Computed != 4 {
 		t.Errorf("computed = %d, want 4 distinct eigensolves", st.Computed)
+	}
+}
+
+// Every kind is one spectral.Options (plus, for a delta job, an ECO
+// base). The journal spec each kind writes is pinned byte for byte: an
+// order job is MELO options whose spec carries only kind, d and scheme,
+// the format of the order specs replayed in durable_test.go.
+func TestJobSpecAndStatusPerKind(t *testing.T) {
+	defer leakCheck(t)()
+	base, d, mut := deltaBase(t)
+	p := NewPool(Config{Workers: 1, QueueDepth: 8})
+	p.runFn = func(ctx context.Context, j *Job) (*Result, error) { return &Result{}, nil }
+	p.Start()
+	defer p.Shutdown(context.Background())
+
+	cases := []struct {
+		name   string
+		req    Request
+		spec   string // journal spec JSON, without the delta payload
+		method string
+		k, d   int
+	}{
+		{"order", Request{Netlist: base, Kind: KindOrder, Opts: spectral.Options{D: 5, Scheme: 2}},
+			`{"kind":"order","d":5,"scheme":2}`, "melo", 0, 5},
+		{"order ignores partition fields", Request{Netlist: base, Kind: KindOrder, Opts: spectral.Options{K: 4, Method: spectral.SB, D: 3, MinFrac: 0.3}},
+			`{"kind":"order","d":3}`, "melo", 0, 3},
+		{"partition", Request{Netlist: base, Opts: spectral.Options{K: 3, Method: spectral.SFC, D: 4, Refine: true}},
+			`{"kind":"partition","method":"sfc","k":3,"d":4,"refine":true}`, "sfc", 3, 4},
+		{"partition ignores delta fields", Request{Netlist: base, Opts: spectral.Options{K: 2}, BaseNetlist: base, Delta: d},
+			`{"kind":"partition","method":"melo","k":2}`, "melo", 2, 0},
+		{"delta", Request{Netlist: mut, Kind: KindDelta, Opts: spectral.Options{K: 2, Method: spectral.MELO, D: 6}, BaseNetlist: base, Delta: d},
+			`{"kind":"delta","method":"melo","k":2,"d":6,"baseHash":"` + speccache.Fingerprint(base) + `"}`, "melo", 2, 6},
+	}
+	for _, c := range cases {
+		j, err := p.Submit(c.req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		waitDone(t, j)
+		spec := specOf(j.req, j.shedFromD)
+		if (spec.Delta != nil) != (c.req.Kind == KindDelta) {
+			t.Errorf("%s: spec delta payload = %s, want one iff the job is a delta job", c.name, spec.Delta)
+		}
+		spec.Delta = nil
+		if b, err := json.Marshal(spec); err != nil || string(b) != c.spec {
+			t.Errorf("%s: journal spec = %s (err %v), want %s", c.name, b, err, c.spec)
+		}
+		st := j.Status()
+		wantBase := ""
+		if c.req.Kind == KindDelta {
+			wantBase = speccache.Fingerprint(base)
+		}
+		if st.Kind != j.req.Kind || st.Method != c.method || st.K != c.k || st.D != c.d || st.BaseHash != wantBase {
+			t.Errorf("%s: status kind=%s method=%q k=%d d=%d baseHash=%q, want %s %q %d %d %q",
+				c.name, st.Kind, st.Method, st.K, st.D, st.BaseHash, j.req.Kind, c.method, c.k, c.d, wantBase)
+		}
+	}
+}
+
+// Order jobs keep their own admission rule rather than
+// Options.Validate's: scheme 0..3 and d >= 0, with d beyond the module
+// count accepted because MELO clamps it.
+func TestOrderJobAdmission(t *testing.T) {
+	defer leakCheck(t)()
+	h := testNetlist(t)
+	p := NewPool(Config{Workers: 1, QueueDepth: 4})
+	p.Start()
+	defer p.Shutdown(context.Background())
+
+	big := h.NumModules() + 7
+	j, err := p.Submit(Request{Netlist: h, Kind: KindOrder, Opts: spectral.Options{D: big}})
+	if err != nil {
+		t.Fatalf("order job with d = %d > n = %d rejected: %v", big, h.NumModules(), err)
+	}
+	if res := waitDone(t, j); len(res.Order) != h.NumModules() {
+		t.Errorf("order has %d modules, want %d", len(res.Order), h.NumModules())
+	}
+	for _, o := range []spectral.Options{{Scheme: 4}, {D: -1}} {
+		if _, err := p.Submit(Request{Netlist: h, Kind: KindOrder, Opts: o}); err == nil {
+			t.Errorf("order job with %+v accepted", o)
+		}
 	}
 }

@@ -17,8 +17,9 @@ const (
 	// ShedDegrade lowers the requested eigenvector count d of new jobs
 	// while pressure is sustained: fewer eigenvectors is a cheaper valid
 	// answer (the paper's d trade-off), so the daemon degrades quality
-	// before it degrades availability. Jobs whose method takes no
-	// spectrum are admitted unchanged.
+	// before it degrades availability. Only jobs whose decomposition
+	// shrinks with d are degraded (MELO, VKP and order jobs); every other
+	// method is admitted unchanged.
 	ShedDegrade ShedPolicy = "degrade"
 	// ShedReject refuses new jobs (ErrQueueFull) while pressure is
 	// sustained, before the queue is physically full.
@@ -132,22 +133,11 @@ func (s *shedder) stats() ShedStats {
 	return ShedStats{Policy: s.policy, Active: s.active, Degraded: s.degraded, Rejected: s.rejected, Trips: s.trips}
 }
 
-// degradeD halves a requested eigenvector count toward shedMinD.
-// d == 0 means "the facade default" (10, the paper's main setting), so
-// it degrades from there. Returns the new d and whether it changed.
+// degradeD halves an eigenvector count toward shedMinD, returning the
+// new d and whether it changed.
 func degradeD(d int) (int, bool) {
-	eff := d
-	if eff <= 0 {
-		eff = 10
-	}
-	nd := eff / 2
-	if nd < shedMinD {
-		nd = shedMinD
-	}
-	if nd >= eff {
-		return d, false
-	}
-	return nd, true
+	nd := max(d/2, shedMinD)
+	return nd, nd < d
 }
 
 // latRing retains the run durations (spectrum + solve, excluding queue

@@ -262,18 +262,16 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	if req.Kind == "" {
 		req.Kind = KindPartition
 	}
-	if req.Kind != KindPartition && req.Kind != KindOrder && req.Kind != KindDelta {
+	if !req.Kind.known() {
 		return nil, fmt.Errorf("jobs: unknown kind %q", req.Kind)
 	}
 	if err := spectral.ValidateNetlist(req.Netlist); err != nil {
 		return nil, err
 	}
-	switch req.Kind {
-	case KindPartition:
-		if err := req.Opts.Validate(req.Netlist); err != nil {
-			return nil, err
-		}
-	case KindDelta:
+	if req.Kind != KindDelta {
+		// Only a delta job has an ECO base.
+		req.BaseHash, req.BaseNetlist, req.Delta = "", nil, nil
+	} else {
 		if req.BaseNetlist == nil {
 			return nil, fmt.Errorf("jobs: delta job without a base netlist")
 		}
@@ -284,22 +282,25 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 			return nil, fmt.Errorf("jobs: delta netlist has %d modules, base has %d — ECO deltas preserve the module population",
 				req.Netlist.NumModules(), req.BaseNetlist.NumModules())
 		}
-		if err := req.Opts.Validate(req.Netlist); err != nil {
-			return nil, err
+	}
+	if req.Kind == KindOrder {
+		// MELO clamps d to the module count, so an order job admits any
+		// d >= 0 where Options.Validate would reject d > n.
+		req.Opts = spectral.Options{D: req.Opts.D, Scheme: req.Opts.Scheme}
+		if req.Opts.Scheme < 0 || req.Opts.Scheme > 3 {
+			return nil, fmt.Errorf("jobs: scheme = %d, want 0..3", req.Opts.Scheme)
 		}
-		if req.BaseHash == "" {
-			req.BaseHash = speccache.Fingerprint(req.BaseNetlist)
+		if req.Opts.D < 0 {
+			return nil, fmt.Errorf("jobs: d = %d, want >= 0", req.Opts.D)
 		}
-	case KindOrder:
-		if req.Scheme < 0 || req.Scheme > 3 {
-			return nil, fmt.Errorf("jobs: scheme = %d, want 0..3", req.Scheme)
-		}
-		if req.D < 0 {
-			return nil, fmt.Errorf("jobs: d = %d, want >= 0", req.D)
-		}
+	} else if err := req.Opts.Validate(req.Netlist); err != nil {
+		return nil, err
 	}
 	if req.Hash == "" {
 		req.Hash = speccache.Fingerprint(req.Netlist)
+	}
+	if req.BaseNetlist != nil && req.BaseHash == "" {
+		req.BaseHash = speccache.Fingerprint(req.BaseNetlist)
 	}
 
 	p.mu.Lock()
@@ -388,36 +389,22 @@ func (p *Pool) jobContext(req Request) (context.Context, context.CancelFunc) {
 }
 
 // degradeRequest lowers the eigenvector count of a sheddable request,
-// returning the possibly-modified request and the original d (0 when
-// nothing changed). Requests whose method takes no spectrum pass
-// through untouched — there is no d to shed.
+// returning the possibly-modified request and the defaulted d it would
+// have used (0 when nothing changed). Only a method whose decomposition
+// shrinks with d sheds: a method that takes no spectrum, or a fixed-size
+// one (SB, KP, SFC, HL, recbis, trivec), passes through untouched.
 func degradeRequest(req Request) (Request, int) {
-	switch req.Kind {
-	case KindOrder:
-		if nd, ok := degradeD(req.D); ok {
-			orig := req.D
-			req.D = nd
-			return req, effectiveD(orig)
-		}
-	case KindPartition, KindDelta:
-		if spec := req.Opts.SpectrumSpec(); spec.Needed {
-			if nd, ok := degradeD(req.Opts.D); ok {
-				orig := req.Opts.D
-				req.Opts.D = nd
-				return req, effectiveD(orig)
-			}
-		}
+	spec := req.Opts.SpectrumSpec()
+	nd, ok := degradeD(spec.D)
+	if !spec.Needed || !ok {
+		return req, 0
 	}
-	return req, 0
-}
-
-// effectiveD maps the "use the default" spelling d=0 to the default it
-// selects, so shedFromD records what the client would have gotten.
-func effectiveD(d int) int {
-	if d <= 0 {
-		return 10
+	lowered := req
+	lowered.Opts.D = nd
+	if lowered.Opts.SpectrumSpec().D >= spec.D {
+		return req, 0
 	}
-	return d
+	return lowered, spec.D
 }
 
 // retainLocked forgets the oldest finished jobs beyond MaxJobs. Pending
@@ -656,105 +643,78 @@ func (p *Pool) runJobIsolated(ctx context.Context, j *Job) (res *Result, err err
 	return p.runFn(ctx, j)
 }
 
-// run executes one job through the façade with spectrum reuse.
+// run executes one job through the façade with spectrum reuse. Every
+// kind fetches its spectrum through the tier ladder and solves on it; an
+// order job stops at MELO's ordering, a partition job splits it.
+//
+// A delta job partitions the mutated netlist with an eigensolve
+// warm-started from the base netlist's spectrum, then compares the
+// result against the base partition. The base spectrum is resolved
+// through the same ladder (an ECO against a netlist the daemon just
+// partitioned finds it in the LRU; a cold daemon computes it — the
+// stability report's base partition needs it regardless). The mutated
+// netlist's spectrum is cached under its own fingerprint, so a repeated
+// delta submission is a pure cache hit and solves nothing.
 func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 	req := j.req
-	if req.Kind == KindDelta {
-		return p.runDelta(ctx, j)
-	}
-	spec := req.Opts.SpectrumSpec()
-	if req.Kind == KindOrder {
-		spec = spectral.OrderSpectrumSpec(req.D)
-	}
-	var (
-		sp  *spectral.Spectrum
-		hit bool
-	)
-	if spec.Needed {
-		t := time.Now()
-		var err error
-		sp, hit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, nil, nil)
-		j.recordSpectrum(time.Since(t))
-		if err != nil {
-			return nil, err
-		}
-	}
-	t := time.Now()
-	defer func() { j.recordSolve(time.Since(t)) }()
-	if req.Kind == KindOrder {
-		order, err := spectral.OrderModulesWithSpectrum(ctx, req.Netlist, sp, req.D, req.Scheme)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Order: order, SpectrumCacheHit: hit}, nil
-	}
-	part, err := spectral.PartitionWithSpectrum(ctx, req.Netlist, sp, req.Opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Assign:           packLabels(part.Assign),
-		K:                part.K,
-		NetCut:           spectral.NetCut(req.Netlist, part),
-		ScaledCost:       spectral.ScaledCost(req.Netlist, part),
-		SpectrumCacheHit: hit,
-	}, nil
-}
-
-// runDelta executes a KindDelta job: partition the mutated netlist with
-// an eigensolve warm-started from the base netlist's spectrum, then
-// compare the result against the base partition.
-//
-// The base spectrum is resolved through the same tier ladder as any
-// other job's (an ECO against a netlist the daemon just partitioned
-// finds it in the LRU; a cold daemon computes it — it is needed for the
-// stability report's base partition regardless). The mutated netlist's
-// spectrum is cached under its own fingerprint, so a repeated delta
-// submission is a pure cache hit and solves nothing.
-func (p *Pool) runDelta(ctx context.Context, j *Job) (*Result, error) {
-	req := j.req
-	res := &Result{BaseHash: req.BaseHash, WarmStart: spectral.WarmOutcomeCold}
-	if req.Delta != nil && req.BaseNetlist != nil {
-		// Re-derive the perturbation reach from the journaled delta; Apply
-		// on an already-validated delta is O(nets) and deterministic.
-		if _, reach, err := delta.Apply(req.BaseNetlist, req.Delta); err == nil {
-			res.Reach = &reach
+	isDelta := req.Kind == KindDelta
+	res := &Result{}
+	if isDelta {
+		res.BaseHash, res.WarmStart = req.BaseHash, spectral.WarmOutcomeCold
+		if req.Delta != nil && req.BaseNetlist != nil {
+			// Re-derive the perturbation reach from the journaled delta;
+			// Apply on an already-validated delta is O(nets) and
+			// deterministic.
+			if _, reach, err := delta.Apply(req.BaseNetlist, req.Delta); err == nil {
+				res.Reach = &reach
+			}
 		}
 	}
 
-	var (
-		sp, baseSp *spectral.Spectrum
-		hit        bool
-	)
+	var sp, baseSp *spectral.Spectrum
 	if spec := req.Opts.SpectrumSpec(); spec.Needed {
 		t := time.Now()
-		var err error
-		baseSp, _, err = p.fetch(ctx, newSpecReq(req.BaseNetlist, req.BaseHash, spec), true, nil, nil)
-		if err != nil {
-			j.recordSpectrum(time.Since(t))
-			return nil, fmt.Errorf("jobs: base spectrum: %w", err)
+		var (
+			seed *spectral.Spectrum
+			warm *spectral.WarmInfo
+			err  error
+		)
+		if isDelta {
+			if baseSp, _, err = p.fetch(ctx, newSpecReq(req.BaseNetlist, req.BaseHash, spec), true, nil, nil); err != nil {
+				j.recordSpectrum(time.Since(t))
+				return nil, fmt.Errorf("jobs: base spectrum: %w", err)
+			}
+			if !p.cfg.DisableWarmStart {
+				seed = baseSp
+			}
+			warm = &spectral.WarmInfo{}
 		}
-		seed := baseSp
-		if p.cfg.DisableWarmStart {
-			seed = nil
-		}
-		var warm spectral.WarmInfo
-		sp, hit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, seed, &warm)
+		sp, res.SpectrumCacheHit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, seed, warm)
 		j.recordSpectrum(time.Since(t))
 		if err != nil {
 			return nil, err
 		}
-		if hit {
-			// Served from a cache tier: no eigensolve ran, so there was no
-			// warm-start event to classify.
-			res.WarmStart = "cached"
-		} else if warm.Outcome != "" {
-			res.WarmStart = warm.Outcome
+		if isDelta {
+			if res.SpectrumCacheHit {
+				// Served from a cache tier: no eigensolve ran, so there was
+				// no warm-start event to classify.
+				res.WarmStart = "cached"
+			} else if warm.Outcome != "" {
+				res.WarmStart = warm.Outcome
+			}
 		}
 	}
 
 	t := time.Now()
 	defer func() { j.recordSolve(time.Since(t)) }()
+	if req.Kind == KindOrder {
+		order, err := spectral.OrderModulesWithSpectrum(ctx, req.Netlist, sp, req.Opts.D, req.Opts.Scheme)
+		if err != nil {
+			return nil, err
+		}
+		res.Order = order
+		return res, nil
+	}
 	part, err := spectral.PartitionWithSpectrum(ctx, req.Netlist, sp, req.Opts)
 	if err != nil {
 		return nil, err
@@ -762,7 +722,9 @@ func (p *Pool) runDelta(ctx context.Context, j *Job) (*Result, error) {
 	res.Assign, res.K = packLabels(part.Assign), part.K
 	res.NetCut = spectral.NetCut(req.Netlist, part)
 	res.ScaledCost = spectral.ScaledCost(req.Netlist, part)
-	res.SpectrumCacheHit = hit
+	if !isDelta {
+		return res, nil
+	}
 
 	// Stability report: partition the base with its (already resolved)
 	// spectrum and align labels. A base-side failure degrades the report

@@ -13,11 +13,10 @@
 //
 // where the payload is one JSON-encoded Record. Appends go to the
 // newest segment; when it exceeds Options.SegmentBytes the journal
-// rotates to a fresh one. Compaction (Rewrite / CompactWith) folds the
-// live state into a single new segment and deletes the old generation;
-// CompactWith takes its snapshot with appends excluded, so a record
-// acknowledged before the snapshot can never be deleted with the old
-// segments.
+// rotates to a fresh one. Compaction (CompactWith) folds the live state
+// into a single new segment and deletes the old generation, taking its
+// snapshot with appends excluded, so a record acknowledged before the
+// snapshot can never be deleted with the old segments.
 //
 // Durability is tiered. Append buffers the record; it becomes durable
 // at the next sync. AppendDurable returns only after an fsync covers
@@ -195,7 +194,7 @@ type Journal struct {
 	opts Options
 
 	// gate serializes appends against compaction: appends hold it
-	// shared, Rewrite/CompactWith hold it exclusively. Without it a
+	// shared, CompactWith holds it exclusively. Without it a
 	// record durably appended between a compaction snapshot and the
 	// segment swap would land in the old generation and be deleted with
 	// it — losing acknowledged state.
@@ -387,7 +386,7 @@ func (j *Journal) appendLocked(rec Record) error {
 }
 
 // fail records a write-path error. The journal stays usable only if the
-// caller recovers it via Rewrite (compaction onto a fresh segment);
+// caller recovers it via CompactWith (compaction onto a fresh segment);
 // until then every append returns the sticky error so the daemon can
 // refuse durable acknowledgements instead of lying.
 func (j *Journal) fail(err error) error {
@@ -485,37 +484,22 @@ func (j *Journal) AppendNetlist(hash, name string, body []byte, unixNS int64) er
 	return err
 }
 
-// Rewrite compacts the journal: it writes recs (the caller's snapshot
-// of all live state — netlist bodies plus one submit and, for terminal
-// jobs, one finish record each) into a fresh segment, fsyncs it, and
-// deletes every older segment. It also clears a sticky write error,
-// giving the daemon a recovery path that does not lose acknowledged
-// state that still lives in memory.
+// CompactWith compacts the journal: it writes the records snapshot
+// returns (the caller's live state — netlist bodies plus one submit and,
+// for terminal jobs, one finish record each) into a fresh segment,
+// fsyncs it, and deletes every older segment. It also clears a sticky
+// write error, giving the daemon a recovery path that does not lose
+// acknowledged state that still lives in memory.
 //
-// Rewrite excludes concurrent appends for its whole duration, but the
-// caller's snapshot was necessarily taken earlier: a record appended
-// between the two lands in the old generation and is deleted with it.
-// Callers whose snapshot source may be appended to concurrently must
-// use CompactWith instead.
-func (j *Journal) Rewrite(recs []Record) error {
-	j.gate.Lock()
-	defer j.gate.Unlock()
-	return j.rewriteGated(recs)
-}
-
-// CompactWith compacts the journal onto the records snapshot returns,
-// calling it with all appends excluded: every append either completes
-// before the snapshot is taken (so the caller's state — and hence the
-// snapshot — reflects it) or starts after the segment swap (landing in
-// the new generation). Either way no acknowledged record is deleted
-// with the old segments.
+// snapshot is called with all appends excluded: every append either
+// completes before the snapshot is taken (so the caller's state — and
+// hence the snapshot — reflects it) or starts after the segment swap
+// (landing in the new generation). Either way no acknowledged record is
+// deleted with the old segments.
 func (j *Journal) CompactWith(snapshot func() []Record) error {
 	j.gate.Lock()
 	defer j.gate.Unlock()
-	return j.rewriteGated(snapshot())
-}
-
-func (j *Journal) rewriteGated(recs []Record) error {
+	recs := snapshot()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 

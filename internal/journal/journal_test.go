@@ -212,8 +212,8 @@ func TestRotationAndReplayAcrossSegments(t *testing.T) {
 	}
 }
 
-// Rewrite folds live state into one segment and deletes the old
-// generation; a subsequent replay sees exactly the rewritten records.
+// Compaction folds live state into one segment and deletes the old
+// generation; a subsequent replay sees exactly the snapshot's records.
 func TestRewriteCompacts(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir, Options{SegmentBytes: 256})
@@ -226,10 +226,12 @@ func TestRewriteCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Rewrite([]Record{
-		{Type: TypeNetlist, Hash: "h", Netlist: []byte("net n a b\n")},
-		submitRec("job-000012", "h"),
-		finishRec("job-000012", StateDone),
+	if err := j.CompactWith(func() []Record {
+		return []Record{
+			{Type: TypeNetlist, Hash: "h", Netlist: []byte("net n a b\n")},
+			submitRec("job-000012", "h"),
+			finishRec("job-000012", StateDone),
+		}
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestRewriteCompacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 1 { // Rewrite folds everything into exactly one segment
+	if len(names) != 1 { // compaction folds everything into exactly one segment
 		t.Fatalf("segments on disk: %v", names)
 	}
 	_, rep := openT(t, dir, Options{})
@@ -273,7 +275,7 @@ func (f *failFile) Sync() error  { return f.f.Sync() }
 func (f *failFile) Close() error { return f.f.Close() }
 
 // A failed write leaves the journal sticky-failed — durable appends
-// refuse to lie — until a Rewrite recovers it onto a fresh segment.
+// refuse to lie — until a compaction recovers it onto a fresh segment.
 func TestWriteErrorIsStickyUntilRewrite(t *testing.T) {
 	dir := t.TempDir()
 	var ff *failFile
@@ -295,13 +297,13 @@ func TestWriteErrorIsStickyUntilRewrite(t *testing.T) {
 	}
 	ff.failAt = 0
 	if err := j.AppendDurable(submitRec("job-000003", "h")); err == nil {
-		t.Fatal("sticky error cleared without Rewrite")
+		t.Fatal("sticky error cleared without a compaction")
 	}
 	if j.Err() == nil {
 		t.Fatal("Err() nil after failure")
 	}
-	if err := j.Rewrite([]Record{submitRec("job-000001", "h")}); err != nil {
-		t.Fatalf("Rewrite recovery: %v", err)
+	if err := j.CompactWith(func() []Record { return []Record{submitRec("job-000001", "h")} }); err != nil {
+		t.Fatalf("compaction recovery: %v", err)
 	}
 	if err := j.AppendDurable(submitRec("job-000004", "h")); err != nil {
 		t.Fatalf("append after recovery: %v", err)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/hl"
 	"repro/internal/hypergraph"
 	"repro/internal/kp"
-	"repro/internal/linalg"
 	"repro/internal/melo"
 	"repro/internal/paraboli"
 	"repro/internal/partition"
@@ -475,13 +474,7 @@ func vkpRunner(k int) func(e *caseEnv) (*runResult, error) {
 		if k > n {
 			return nil, nil
 		}
-		d := meloD(n)
-		trimmed, err := trimTrivial(e.dec, d)
-		if err != nil {
-			return nil, err
-		}
-		H := vecpart.ChooseH(e.g.TotalDegree(), append([]float64{0}, trimmed.Values...), n)
-		v, err := vecpart.FromDecomposition(trimmed, d, vecpart.MaxSum, H)
+		v, err := vecpart.MaxSumInstance(e.dec, meloD(n), e.g.TotalDegree())
 		if err != nil {
 			return nil, err
 		}
@@ -498,27 +491,6 @@ func vkpRunner(k int) func(e *caseEnv) (*runResult, error) {
 		lo, hi := dpBounds(n, k)
 		return &runResult{p: res.Partition, k: k, bal: Balance{MinSize: lo, MaxSize: hi}, problems: problems}, nil
 	}
-}
-
-// trimTrivial drops the trivial constant eigenpair and keeps d pairs
-// (mirrors the facade's VKP preprocessing).
-func trimTrivial(dec *eigen.Decomposition, d int) (*eigen.Decomposition, error) {
-	if d > dec.D()-1 {
-		d = dec.D() - 1
-	}
-	if d < 1 {
-		return nil, fmt.Errorf("oracle: decomposition has %d pairs, need >= 2", dec.D())
-	}
-	n := dec.Vectors.Rows
-	vecs := linalg.NewDense(n, d)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			vecs.Set(i, j, dec.Vectors.At(i, j+1))
-		}
-	}
-	vals := make([]float64, d)
-	copy(vals, dec.Values[1:d+1])
-	return &eigen.Decomposition{Values: vals, Vectors: vecs}, nil
 }
 
 // Run executes the differential harness over the corpus: every method on

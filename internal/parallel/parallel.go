@@ -241,7 +241,7 @@ func Do(workers int, tasks ...func()) {
 
 // panicBox carries the first panic observed in a worker goroutine back
 // to the calling goroutine, so the pipeline's recover-based hardening
-// (resilience.Protect, spectral's pipeline.protect) still sees panics
+// (spectral's pipeline.protect) still sees panics
 // raised inside parallel kernels. A worker that panics stops consuming
 // chunks; the remaining workers finish theirs before the re-panic.
 type panicBox struct {

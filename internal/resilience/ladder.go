@@ -146,7 +146,7 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 	ctx, span := trace.Start(ctx, "eigen.solve", trace.Int("n", n), trace.Int("want", d))
 	rung := "exhausted"
 	defer func() {
-		if isCtxErr(retErr) {
+		if IsContextError(retErr) {
 			rung = "cancelled"
 		}
 		span.Annotate(trace.Str("rung", rung), trace.Int("attempts", res.Attempts))
@@ -169,7 +169,7 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 			rung = "dense-direct"
 			return res, nil
 		}
-		if isCtxErr(err) {
+		if IsContextError(err) {
 			return nil, err
 		}
 		res.note("dense direct solve failed: %v", err)
@@ -205,7 +205,7 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 			rung = "lanczos"
 			return res, nil
 		}
-		if isCtxErr(err) {
+		if IsContextError(err) {
 			return nil, err
 		}
 		lastErr = err
@@ -235,7 +235,7 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 			rung = "dense-fallback"
 			return res, nil
 		}
-		if isCtxErr(err) {
+		if IsContextError(err) {
 			return nil, err
 		}
 		lastErr = err
@@ -279,5 +279,3 @@ func denseSolve(ctx context.Context, a linalg.Operator, d int, faults *FaultPlan
 func IsContextError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
-
-func isCtxErr(err error) bool { return IsContextError(err) }

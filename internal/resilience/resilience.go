@@ -1,6 +1,8 @@
 // Package resilience is the hardening layer of the partitioning
-// pipeline: staged panic recovery, deterministic fault injection, and
-// the eigensolver retry/fallback/degradation ladder.
+// pipeline: the stage names failures are attributed to, deterministic
+// fault injection, and the eigensolver retry/fallback/degradation
+// ladder. Panic recovery and attribution live in the façade
+// (pipeline.protect and pipeline.guard build *spectral.PipelineError).
 //
 // The paper's thesis — "use as many eigenvectors as practically
 // possible" — implies a degradation policy rather than a hard failure
@@ -11,12 +13,6 @@
 // ordering. SolveEigen encodes exactly that ladder; FaultPlan lets
 // tests prove every rung fires.
 package resilience
-
-import (
-	"errors"
-	"fmt"
-	"runtime/debug"
-)
 
 // Stage identifies a phase of the partitioning pipeline for error
 // attribution.
@@ -42,65 +38,3 @@ const (
 	// it re-enters the regular stages.
 	StageMultilevel Stage = "multilevel"
 )
-
-// StageError attributes a failure — an error return or a recovered
-// panic — to the pipeline stage where it occurred.
-type StageError struct {
-	// Stage is the phase that failed.
-	Stage Stage
-	// Err is the underlying cause. For recovered panics it wraps the
-	// panic value.
-	Err error
-	// Panicked reports whether the failure was a recovered panic rather
-	// than an error return.
-	Panicked bool
-	// Stack holds the goroutine stack at recovery time (panics only).
-	Stack []byte
-}
-
-// Error implements the error interface.
-func (e *StageError) Error() string {
-	if e.Panicked {
-		return fmt.Sprintf("stage %s panicked: %v", e.Stage, e.Err)
-	}
-	return fmt.Sprintf("stage %s: %v", e.Stage, e.Err)
-}
-
-// Unwrap exposes the underlying cause to errors.Is/As.
-func (e *StageError) Unwrap() error { return e.Err }
-
-// Protect runs fn, converting a panic into a *StageError carrying the
-// stage and the recovery stack, and attributing a plain error return to
-// the stage. Errors that are already stage-attributed (from a nested
-// Protect, or hand-built) and context cancellation errors pass through
-// unchanged, so the innermost attribution and errors.Is(err,
-// context.Canceled) checks both survive.
-func Protect(stage Stage, fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &StageError{
-				Stage:    stage,
-				Err:      fmt.Errorf("panic: %v", r),
-				Panicked: true,
-				Stack:    debug.Stack(),
-			}
-		}
-	}()
-	if err := fn(); err != nil {
-		return Attribute(stage, err)
-	}
-	return nil
-}
-
-// Attribute wraps err in a *StageError for the given stage unless it is
-// already stage-attributed or a context cancellation error.
-func Attribute(stage Stage, err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *StageError
-	if errors.As(err, &se) || isCtxErr(err) {
-		return err
-	}
-	return &StageError{Stage: stage, Err: err}
-}

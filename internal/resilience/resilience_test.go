@@ -1,67 +1,9 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"testing"
 )
-
-func TestProtectConvertsPanic(t *testing.T) {
-	err := Protect(StageOrdering, func() error {
-		panic("boom")
-	})
-	var se *StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("got %v, want *StageError", err)
-	}
-	if se.Stage != StageOrdering || !se.Panicked {
-		t.Fatalf("got stage=%v panicked=%v, want ordering/true", se.Stage, se.Panicked)
-	}
-	if len(se.Stack) == 0 {
-		t.Fatal("panic StageError carries no stack")
-	}
-}
-
-func TestProtectAttributesErrors(t *testing.T) {
-	cause := errors.New("bad split")
-	err := Protect(StageSplit, func() error { return cause })
-	var se *StageError
-	if !errors.As(err, &se) || se.Stage != StageSplit || se.Panicked {
-		t.Fatalf("got %v, want non-panic StageError at split", err)
-	}
-	if !errors.Is(err, cause) {
-		t.Fatal("StageError does not unwrap to the cause")
-	}
-}
-
-func TestProtectKeepsInnerStage(t *testing.T) {
-	err := Protect(StageSplit, func() error {
-		return Protect(StageEigen, func() error { return errors.New("diverged") })
-	})
-	var se *StageError
-	if !errors.As(err, &se) || se.Stage != StageEigen {
-		t.Fatalf("got %v, want innermost eigen attribution", err)
-	}
-}
-
-func TestProtectPassesContextErrors(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := Protect(StageEigen, func() error { return ctx.Err() })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	var se *StageError
-	if errors.As(err, &se) {
-		t.Fatal("context error should pass through unwrapped")
-	}
-}
-
-func TestProtectNilError(t *testing.T) {
-	if err := Protect(StageValidate, func() error { return nil }); err != nil {
-		t.Fatalf("got %v, want nil", err)
-	}
-}
 
 func TestFaultPlanSchedule(t *testing.T) {
 	p := &FaultPlan{FailAttempts: []int{2}, StallAttempts: []int{3}, StallConverged: 4}

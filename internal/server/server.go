@@ -431,8 +431,7 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 		jr.Opts = opts
 	case "order":
 		jr.Kind = jobs.KindOrder
-		jr.D = req.D
-		jr.Scheme = req.Scheme
+		jr.Opts = spectral.Options{D: req.D, Scheme: req.Scheme}
 	default:
 		writeError(w, http.StatusBadRequest, "unknown kind %q (want partition|order)", req.Kind)
 		return

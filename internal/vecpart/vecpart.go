@@ -80,7 +80,27 @@ func FromDecomposition(dec *eigen.Decomposition, d int, s Scaling, H float64) (*
 	if d < 1 || d > dec.D() {
 		return nil, fmt.Errorf("vecpart: d = %d out of range [1,%d]", d, dec.D())
 	}
-	lam := linalg.CopyVec(dec.Values[:d])
+	return fromPairs(dec, 0, d, s, H)
+}
+
+// MaxSumInstance builds the paper's max-sum vector instance from a full
+// Laplacian decomposition, trivial (constant) pair first: it drops that
+// pair, keeps up to d non-trivial pairs, and scales them with ChooseH's
+// truncation-balanced H. traceQ is the Laplacian's trace (the graph's
+// total weighted degree). λ₁ enters ChooseH as an exact 0, not the
+// solver's roundoff-sized Values[0], so H is reproducible across solvers.
+func MaxSumInstance(dec *eigen.Decomposition, d int, traceQ float64) (*Vectors, error) {
+	d = min(d, dec.D()-1)
+	if d < 1 {
+		return nil, fmt.Errorf("vecpart: decomposition has %d eigenpairs, need >= 2 for a vector instance", dec.D())
+	}
+	H := ChooseH(traceQ, append([]float64{0}, dec.Values[1:d+1]...), dec.Vectors.Rows)
+	return fromPairs(dec, 1, d, MaxSum, H)
+}
+
+// fromPairs scales the d eigenpairs of dec starting at index first.
+func fromPairs(dec *eigen.Decomposition, first, d int, s Scaling, H float64) (*Vectors, error) {
+	lam := linalg.CopyVec(dec.Values[first : first+d])
 	n := dec.Vectors.Rows
 	y := linalg.NewDense(n, d)
 	for j := 0; j < d; j++ {
@@ -97,7 +117,7 @@ func FromDecomposition(dec *eigen.Decomposition, d int, s Scaling, H float64) (*
 			return nil, errors.New("vecpart: unknown scaling")
 		}
 		for i := 0; i < n; i++ {
-			y.Set(i, j, c*dec.Vectors.At(i, j))
+			y.Set(i, j, c*dec.Vectors.At(i, first+j))
 		}
 	}
 	return &Vectors{Y: y, H: H, Lambda: lam, Scale: s}, nil

@@ -278,3 +278,35 @@ func TestPipelinePanicRecovery(t *testing.T) {
 		t.Fatalf("panic not captured with stage+stack: %+v", pe)
 	}
 }
+
+// wrapPipelineErr attributes a plain error to the running stage, keeps
+// an attribution made deeper in the pipeline (a recovered panic, or a
+// nested pipeline's error), and passes context errors and nil through.
+func TestWrapPipelineErrKeepsInnerAttribution(t *testing.T) {
+	cause := errors.New("diverged")
+	err := wrapPipelineErr(MELO, resilience.StageSplit, cause)
+	var pe *PipelineError
+	if !errors.As(err, &pe) || pe.Stage != "split" || pe.Panicked || !errors.Is(err, cause) {
+		t.Fatalf("plain error: got %v, want a split-stage PipelineError wrapping the cause", err)
+	}
+
+	inner := &PipelineError{Stage: "eigen", Method: MELO, Err: cause}
+	sub := &pipeline{o: Options{Method: MultilevelMELO}.withDefaults(), stage: resilience.StageMultilevel}
+	err = wrapPipelineErr(MultilevelMELO, resilience.StageMultilevel, sub.protect(func() error { return inner }))
+	if err != inner {
+		t.Fatalf("nested attribution: got %v, want the inner eigen-stage error unchanged", err)
+	}
+	err = wrapPipelineErr(MELO, resilience.StageSplit, sub.protect(func() error { panic("boom") }))
+	if !errors.As(err, &pe) || !pe.Panicked || pe.Stage != "multilevel" {
+		t.Fatalf("nested panic: got %v, want the multilevel-stage panic attribution", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := wrapPipelineErr(MELO, resilience.StageEigen, ctx.Err()); err != context.Canceled {
+		t.Fatalf("context error: got %v, want context.Canceled unwrapped", err)
+	}
+	if err := wrapPipelineErr(MELO, resilience.StageEigen, nil); err != nil {
+		t.Fatalf("nil error: got %v", err)
+	}
+}

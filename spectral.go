@@ -44,6 +44,7 @@ import (
 	"repro/internal/sb"
 	"repro/internal/sfc"
 	"repro/internal/trace"
+	"repro/internal/vecpart"
 	"repro/internal/vkp"
 )
 
@@ -620,7 +621,7 @@ func (pl *pipeline) partitionVKP(h *Netlist) (*Partitioning, error) {
 		return nil, err
 	}
 	pl.enter(resilience.StageSplit)
-	v, err := vectorInstance(g, dec, pl.o.D)
+	v, err := vecpart.MaxSumInstance(dec, pl.o.D, g.TotalDegree())
 	if err != nil {
 		return nil, err
 	}

@@ -143,15 +143,6 @@ func (o Options) SpectrumSpec() SpectrumSpec {
 	return SpectrumSpec{Needed: false}
 }
 
-// OrderSpectrumSpec returns the decomposition requirement of an
-// OrderModulesWithSpectrum run with the given d (0 selects the default).
-func OrderSpectrumSpec(d int) SpectrumSpec {
-	if d <= 0 {
-		d = 10
-	}
-	return SpectrumSpec{Needed: true, Model: ModelPartitioningSpecific, D: d}
-}
-
 // DecomposeCtx computes the netlist's clique-model graph and its d+1
 // smallest Laplacian eigenpairs (the trivial pair plus d non-trivial
 // eigenvectors, clamped to the number of modules), with the same

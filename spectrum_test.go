@@ -200,6 +200,7 @@ func TestSpectrumSpec(t *testing.T) {
 		want SpectrumSpec
 	}{
 		{Options{K: 2, Method: MELO}, SpectrumSpec{Needed: true, Model: ModelPartitioningSpecific, D: 10}},
+		{Options{}, SpectrumSpec{Needed: true, Model: ModelPartitioningSpecific, D: 10}},
 		{Options{K: 2, Method: MELO, D: 4}, SpectrumSpec{Needed: true, Model: ModelPartitioningSpecific, D: 4}},
 		{Options{K: 2, Method: SB}, SpectrumSpec{Needed: true, Model: ModelPartitioningSpecific, D: 1}},
 		{Options{K: 5, Method: SFC}, SpectrumSpec{Needed: true, Model: ModelPartitioningSpecific, D: 2}},
@@ -214,9 +215,6 @@ func TestSpectrumSpec(t *testing.T) {
 		if got := c.opts.SpectrumSpec(); got != c.want {
 			t.Errorf("%v K=%d: spec = %+v, want %+v", c.opts.Method, c.opts.K, got, c.want)
 		}
-	}
-	if got := OrderSpectrumSpec(0); got.D != 10 || !got.Needed {
-		t.Errorf("OrderSpectrumSpec(0) = %+v", got)
 	}
 }
 
