@@ -37,8 +37,9 @@ type Options struct {
 	SignFlips bool
 }
 
-// Partition runs Barnes' algorithm on the graph.
-func Partition(g *graph.Graph, opts Options) (*partition.Partition, error) {
+// PartitionCtx runs Barnes' algorithm on the graph. ctx bounds the
+// eigensolve: cancellation returns ctx.Err() unwrapped.
+func PartitionCtx(ctx context.Context, g *graph.Graph, opts Options) (*partition.Partition, error) {
 	n := g.N()
 	sizes := opts.Sizes
 	if sizes == nil {
@@ -63,7 +64,7 @@ func Partition(g *graph.Graph, opts Options) (*partition.Partition, error) {
 		return nil, fmt.Errorf("barnes: sizes sum to %d, want n = %d", total, n)
 	}
 
-	u, err := largestAdjacencyEigenvectors(g, k)
+	u, err := largestAdjacencyEigenvectors(ctx, g, k)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +124,7 @@ func nearEqualSizes(n, k int) []int {
 
 // largestAdjacencyEigenvectors returns the k eigenvectors of the
 // adjacency matrix with the largest eigenvalues, as rows.
-func largestAdjacencyEigenvectors(g *graph.Graph, k int) ([][]float64, error) {
+func largestAdjacencyEigenvectors(ctx context.Context, g *graph.Graph, k int) ([][]float64, error) {
 	n := g.N()
 	if k > n {
 		return nil, fmt.Errorf("barnes: k = %d exceeds n = %d", k, n)
@@ -137,7 +138,7 @@ func largestAdjacencyEigenvectors(g *graph.Graph, k int) ([][]float64, error) {
 		}
 	}
 	op := &shiftedNegAdjacency{a: g.Adjacency(), c: c}
-	sol, err := resilience.SolveEigen(context.TODO(), op, k, resilience.EigenPolicy{MinD: k})
+	sol, err := resilience.SolveEigen(ctx, op, k, resilience.EigenPolicy{MinD: k})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package barnes
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,7 +10,7 @@ import (
 
 func TestRecoversTwoClusters(t *testing.T) {
 	g := graph.TwoClusters(12, 12, 2, 0.2, 3)
-	p, err := Partition(g, Options{K: 2, SignFlips: true})
+	p, err := PartitionCtx(context.Background(), g, Options{K: 2, SignFlips: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestThreeClusters(t *testing.T) {
 	}
 	edges = append(edges, graph.Edge{U: 7, V: 8, W: 0.05}, graph.Edge{U: 15, V: 16, W: 0.05})
 	g := graph.MustNew(24, edges)
-	p, err := Partition(g, Options{K: 3})
+	p, err := PartitionCtx(context.Background(), g, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestThreeClusters(t *testing.T) {
 
 func TestPrescribedSizes(t *testing.T) {
 	g := graph.RandomConnected(20, 50, 7)
-	p, err := Partition(g, Options{Sizes: []int{5, 7, 8}})
+	p, err := PartitionCtx(context.Background(), g, Options{Sizes: []int{5, 7, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,16 +72,16 @@ func TestPrescribedSizes(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	g := graph.Path(6)
-	if _, err := Partition(g, Options{K: 1}); err == nil {
+	if _, err := PartitionCtx(context.Background(), g, Options{K: 1}); err == nil {
 		t.Error("k=1 accepted")
 	}
-	if _, err := Partition(g, Options{Sizes: []int{3, 2}}); err == nil {
+	if _, err := PartitionCtx(context.Background(), g, Options{Sizes: []int{3, 2}}); err == nil {
 		t.Error("sizes not summing to n accepted")
 	}
-	if _, err := Partition(g, Options{Sizes: []int{6, 0}}); err == nil {
+	if _, err := PartitionCtx(context.Background(), g, Options{Sizes: []int{6, 0}}); err == nil {
 		t.Error("zero size accepted")
 	}
-	if _, err := Partition(g, Options{K: 7}); err == nil {
+	if _, err := PartitionCtx(context.Background(), g, Options{K: 7}); err == nil {
 		t.Error("k>n accepted")
 	}
 }
@@ -101,7 +102,7 @@ func TestLargestAdjacencyEigenvectors(t *testing.T) {
 	// For K_n the largest adjacency eigenvalue is n−1 with the constant
 	// eigenvector.
 	g := graph.Complete(8)
-	u, err := largestAdjacencyEigenvectors(g, 1)
+	u, err := largestAdjacencyEigenvectors(context.Background(), g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,12 +68,13 @@ type LanczosOptions struct {
 	Workers int
 	// InitialVector, when non-nil, seeds the Krylov recurrence with the
 	// given direction instead of the deterministic random start — the
-	// warm-start path hands in a combination of a prior solve's Ritz
-	// vectors here. The vector is copied and normalized; it must have
-	// length n and a finite nonzero norm, or the solver falls back to
-	// the random start. Invariant-subspace restarts still draw random
-	// directions. The solve remains fully deterministic: the result is
-	// a pure function of (operator, d, options, InitialVector).
+	// resilience ladder's warm attempt 0 (resilience.SolveEigenFrom)
+	// hands in a combination of a prior solve's Ritz vectors here. The
+	// vector is copied and normalized; it must have length n and a
+	// finite nonzero norm, or the solver falls back to the random
+	// start. Invariant-subspace restarts still draw random directions.
+	// The solve remains fully deterministic: the result is a pure
+	// function of (operator, d, options, InitialVector).
 	InitialVector []float64
 }
 

@@ -58,7 +58,7 @@ func TableExtensions(l *Lab) error {
 		out.vkp = partition.ScaledCost(h, vres.Partition)
 
 		// Barnes.
-		bp, err := barnes.Partition(g, barnes.Options{K: k, SignFlips: true})
+		bp, err := barnes.PartitionCtx(cfg.Ctx, g, barnes.Options{K: k, SignFlips: true})
 		if err != nil {
 			return out, err
 		}

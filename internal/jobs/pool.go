@@ -48,11 +48,13 @@ type Config struct {
 	Journal *journal.Journal
 	// EigenPolicy configures the eigensolver resilience ladder for the
 	// pool's spectrum fetches — the decompositions computed behind the
-	// spectrum cache — only; the zero value selects the library
-	// defaults. The chaos harness injects deterministic fault plans
-	// through it. Solves inside the partition step itself (the rsb,
-	// placement, barnes and mlmelo methods, which cannot reuse a
-	// cached spectrum) run under the library's default ladder.
+	// spectrum cache, cold or warm-started (a delta job's seeded
+	// attempt is the ladder's attempt 0) — only; the zero value selects
+	// the library defaults. The chaos harness injects deterministic
+	// fault plans through it. The partition step takes no policy: its
+	// own solves run under the default ladder. That covers mlmelo's
+	// coarsest solve, which shares the policy of its run, and the rsb,
+	// placement and barnes solves, which use their own.
 	EigenPolicy resilience.EigenPolicy
 	// CompactEvery is the number of journaled terminal transitions
 	// between automatic journal compactions. Default 1024.

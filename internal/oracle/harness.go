@@ -421,7 +421,7 @@ func barnesRunner(k int) func(e *caseEnv) (*runResult, error) {
 		if k > n {
 			return nil, nil
 		}
-		p, err := barnes.Partition(e.g, barnes.Options{K: k, SignFlips: true})
+		p, err := barnes.PartitionCtx(context.Background(), e.g, barnes.Options{K: k, SignFlips: true})
 		if err != nil {
 			return nil, err
 		}

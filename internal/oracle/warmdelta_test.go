@@ -14,9 +14,10 @@ import (
 // every mutated netlist must reproduce a cold solve's partition
 // bit-for-bit, and the reported cut must equal the cut recomputed from
 // the assignment. The corpus instances are far below the seeded-regime
-// floor (n ≤ MaxModules < DenseDirectN), so this pins the fallthrough
-// side of the warm path: on problems too small to seed, warm starting
-// must degrade to exactly the cold solve, not an approximation of it.
+// floor (n ≤ MaxModules < 256, the ladder's dense-direct floor), so
+// this pins the fallthrough side of the warm path: on problems too
+// small to seed, warm starting must degrade to exactly the cold solve,
+// not an approximation of it.
 func TestWarmDeltaMatchesColdOnCorpus(t *testing.T) {
 	cases := Corpus(1)
 	if len(cases) != 51 {

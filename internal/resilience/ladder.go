@@ -18,30 +18,15 @@ type EigenPolicy struct {
 	// ordering heuristics, and residuals far below the eigenvalue gaps
 	// add cost without changing any ordering.
 	Tol float64
-	// MaxSparseAttempts bounds the Lanczos attempts (initial try plus
-	// seed-restarts with escalated Krylov caps). Default 3.
-	MaxSparseAttempts int
-	// DenseDirectN solves densely outright for operators at or below
-	// this dimension, where the dense solver is both exact and faster
-	// than Lanczos. Default 256.
-	DenseDirectN int
-	// DenseFallbackN bounds the dense-fallback rung: after the sparse
-	// attempts are exhausted, operators at or below this dimension are
-	// handed to the slower-but-sure dense solver. Default 4096.
-	DenseFallbackN int
-	// NoDenseFallback disables the dense-fallback rung regardless of
-	// dimension (tests use this to force the degradation rung).
-	NoDenseFallback bool
 	// MinD is the smallest usable decomposition: degradation below this
 	// many pairs fails the solve instead. Default 2 (the trivial pair
 	// plus one informative eigenvector — the least the paper's ordering
 	// heuristics can work with).
 	MinD int
-	// BaseSeed seeds the first Lanczos attempt; restarts use BaseSeed+1,
-	// BaseSeed+2, … so every rung is deterministic. Default 1.
-	BaseSeed int64
 	// Faults, when non-nil, injects the plan's deterministic faults
-	// into every attempt.
+	// into every attempt. It is also how a test forces a rung: failing
+	// the plan's attempt 1 fails the dense-direct solve, so the Lanczos
+	// rungs run even on small operators.
 	Faults *FaultPlan
 	// Workers bounds the goroutines the sparse solver's kernels may
 	// use (see eigen.LanczosOptions.Workers). 0 selects the process
@@ -51,36 +36,39 @@ type EigenPolicy struct {
 	Workers int
 }
 
-// Exported zero-value resolutions of EigenPolicy, for callers (the
-// warm-start path) that must make the same regime decisions the ladder
-// makes without running it.
+// The ladder's fixed rungs.
 const (
-	// DefaultTol is the relative residual tolerance the ladder solves
-	// to when the policy leaves Tol zero.
-	DefaultTol = 1e-6
-	// DefaultDenseDirectN is the problem size at or below which the
-	// ladder prefers the dense solver outright.
-	DefaultDenseDirectN = 256
+	// defaultTol is the relative residual tolerance when Tol is unset.
+	defaultTol = 1e-6
+	// maxSparseAttempts bounds the cold Lanczos attempts: the initial
+	// try plus seed-restarts with escalated Krylov caps.
+	maxSparseAttempts = 3
+	// denseDirectN: operators at or below this dimension are solved
+	// densely outright, where the dense solver is both exact and faster
+	// than Lanczos.
+	denseDirectN = 256
+	// denseFallbackN bounds the dense-fallback rung: after the sparse
+	// attempts are exhausted, operators at or below this dimension are
+	// handed to the slower-but-sure dense solver.
+	denseFallbackN = 4096
+	// baseSeed seeds the first Lanczos attempt; restarts use
+	// baseSeed+1, baseSeed+2, … so every rung is deterministic.
+	baseSeed = 1
 )
 
-func (p EigenPolicy) withDefaults() EigenPolicy {
+// Tolerance returns the relative residual tolerance the ladder solves
+// to under p: Tol, or the 1e-6 default when Tol is unset.
+func (p EigenPolicy) Tolerance() float64 {
 	if p.Tol <= 0 {
-		p.Tol = DefaultTol
+		return defaultTol
 	}
-	if p.MaxSparseAttempts <= 0 {
-		p.MaxSparseAttempts = 3
-	}
-	if p.DenseDirectN <= 0 {
-		p.DenseDirectN = DefaultDenseDirectN
-	}
-	if p.DenseFallbackN <= 0 {
-		p.DenseFallbackN = 4096
-	}
+	return p.Tol
+}
+
+func (p EigenPolicy) withDefaults() EigenPolicy {
+	p.Tol = p.Tolerance()
 	if p.MinD <= 0 {
 		p.MinD = 2
-	}
-	if p.BaseSeed == 0 {
-		p.BaseSeed = 1
 	}
 	return p
 }
@@ -99,6 +87,9 @@ type PartialDecomposition struct {
 	// Attempts counts the solver attempts consumed (Lanczos tries plus
 	// dense solves).
 	Attempts int
+	// Seeded reports that attempt 0 — the Lanczos solve started from
+	// SolveEigenFrom's start vector — produced the result.
+	Seeded bool
 	// DenseFallback reports that the dense rung produced the result.
 	DenseFallback bool
 	// Degraded reports Delivered < Requested.
@@ -118,20 +109,32 @@ func (r *PartialDecomposition) note(format string, args ...any) {
 //
 //  1. Lanczos with the default Krylov budget.
 //  2. On non-convergence (or numerical breakdown): restart with a fresh
-//     random seed and a doubled (bounded) Krylov cap, up to
-//     MaxSparseAttempts total tries.
+//     random seed and a doubled (bounded) Krylov cap, up to three
+//     tries in all.
 //  3. Dense tridiagonal (tred2/tql2) fallback when the operator is
-//     small enough — slower but sure.
+//     small enough (n ≤ 4096) — slower but sure.
 //  4. Degrade d: return the d' < d pairs that did converge (smallest
 //     pairs converge first, so the prefix is the useful one), flagged
 //     Degraded, so downstream orderings still run with fewer
 //     eigenvectors.
 //
-// Small operators (or d close to n) go straight to the dense solver.
-// ctx is honoured at every solver iteration boundary; cancellation
-// returns ctx.Err() unwrapped. The error from an exhausted ladder wraps
-// the last rung's failure and lists every rung tried.
-func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) (_ *PartialDecomposition, retErr error) {
+// Small operators (n ≤ 256, or d > n/3) go straight to the dense
+// solver. ctx is honoured at every solver iteration boundary;
+// cancellation returns ctx.Err() unwrapped. The error from an exhausted
+// ladder wraps the last rung's failure and lists every rung tried.
+func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) (*PartialDecomposition, error) {
+	return SolveEigenFrom(ctx, a, d, nil, pol)
+}
+
+// SolveEigenFrom is SolveEigen with a warm start. In the sparse regime
+// a non-nil start adds attempt 0 ahead of the cold rungs: Lanczos with
+// attempt 1's Krylov cap and seed, started from start instead of the
+// seeded random vector (see eigen.LanczosOptions.InitialVector). If it
+// converges the result reports Seeded; if it fails, the ladder goes on
+// exactly as a cold solve would — attempt 0 leaves nothing behind for
+// the degradation rung — so a failed start costs time, never a
+// different answer. In the dense regime start is ignored.
+func SolveEigenFrom(ctx context.Context, a linalg.Operator, d int, start []float64, pol EigenPolicy) (_ *PartialDecomposition, retErr error) {
 	n := a.Dim()
 	if d < 1 {
 		return nil, fmt.Errorf("resilience: requested %d eigenpairs, want >= 1", d)
@@ -160,7 +163,12 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 
 	// Small problems: dense is exact and cheap; no ladder needed unless
 	// a fault is injected.
-	if n <= pol.DenseDirectN || d > n/3 {
+	dense := n <= denseDirectN || d > n/3
+	first := 1 // the first Lanczos attempt; 0 is the warm start
+	if start != nil && !dense {
+		first = 0
+	}
+	if dense {
 		res.Attempts++
 		dec, err := denseSolve(ctx, a, d, pol.Faults)
 		if err == nil {
@@ -178,8 +186,8 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 		// problems; the sparse ladder below may still succeed.
 	}
 
-	// Rungs 1–2: Lanczos, then seed-restarts with bounded backoff on
-	// the Krylov cap.
+	// Rungs 1–2: Lanczos (after the warm attempt 0, if any), then
+	// seed-restarts with bounded backoff on the Krylov cap.
 	dim := 12*d + 100
 	if dim < 300 {
 		dim = 300
@@ -188,19 +196,22 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 		dim = n
 	}
 	var best *eigen.Decomposition
-	for attempt := 1; attempt <= pol.MaxSparseAttempts; attempt++ {
+	for attempt := first; attempt <= maxSparseAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		res.Attempts++
-		seed := pol.BaseSeed + int64(attempt-1)
+		seed := baseSeed + int64(max(attempt-1, 0))
 		opts := &eigen.LanczosOptions{Tol: pol.Tol, MaxDim: dim, Seed: seed, Workers: pol.Workers}
+		if attempt == 0 {
+			opts.InitialVector = start
+		}
 		if pol.Faults != nil {
 			opts.Fault = pol.Faults
 		}
 		dec, err := eigen.LanczosCtx(ctx, a, d, opts)
 		if err == nil {
-			res.Dec, res.Delivered = dec, d
+			res.Dec, res.Delivered, res.Seeded = dec, d, attempt == 0
 			res.note("lanczos converged (attempt %d, seed %d, maxdim %d)", attempt, seed, dim)
 			rung = "lanczos"
 			return res, nil
@@ -210,6 +221,9 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 		}
 		lastErr = err
 		res.note("lanczos failed (attempt %d, seed %d, maxdim %d): %v", attempt, seed, dim, err)
+		if attempt == 0 {
+			continue // attempt 1 runs exactly as in a cold solve
+		}
 		if dec != nil && (best == nil || dec.D() > best.D()) {
 			best = dec // converged prefix, kept for the degradation rung
 		}
@@ -222,7 +236,7 @@ func SolveEigen(ctx context.Context, a linalg.Operator, d int, pol EigenPolicy) 
 	}
 
 	// Rung 3: slower-but-sure dense solve for small n.
-	if !pol.NoDenseFallback && n <= pol.DenseFallbackN {
+	if n <= denseFallbackN {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/eigen"
+	"repro/internal/graph"
 	"repro/internal/linalg"
 )
 
@@ -28,9 +29,13 @@ func pathLaplacian(n int) *linalg.CSR {
 	return linalg.NewCSR(n, n, ts)
 }
 
-// sparsePolicy forces the Lanczos rungs even on small test operators.
-func sparsePolicy() EigenPolicy {
-	return EigenPolicy{DenseDirectN: 1}
+// sparsePolicy forces the Lanczos rungs on small test operators: the
+// plan's attempt 1 fails the dense-direct solve, so the ladder's
+// Lanczos attempts are plan attempts 2–4 and its dense fallback is
+// attempt 5. Callers list the faults for those attempts in plan.
+func sparsePolicy(plan *FaultPlan) EigenPolicy {
+	plan.FailAttempts = append([]int{1}, plan.FailAttempts...)
+	return EigenPolicy{Faults: plan}
 }
 
 // refValues returns the d smallest exact eigenvalues via the dense
@@ -58,11 +63,11 @@ func checkValues(t *testing.T, got, want []float64) {
 
 func TestSolveEigenClean(t *testing.T) {
 	a := pathLaplacian(60)
-	res, err := SolveEigen(context.Background(), a, 5, sparsePolicy())
+	res, err := SolveEigen(context.Background(), a, 5, sparsePolicy(&FaultPlan{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered != 5 || res.Degraded || res.DenseFallback || res.Attempts != 1 {
+	if res.Delivered != 5 || res.Degraded || res.DenseFallback || res.Attempts != 2 {
 		t.Fatalf("clean solve took unexpected path: %+v", res)
 	}
 	checkValues(t, res.Dec.Values, refValues(t, a, 5))
@@ -84,14 +89,11 @@ func TestSolveEigenDenseDirect(t *testing.T) {
 // seed-restart.
 func TestSolveEigenSeedRestart(t *testing.T) {
 	a := pathLaplacian(60)
-	plan := &FaultPlan{FailAttempts: []int{1}}
-	pol := sparsePolicy()
-	pol.Faults = plan
-	res, err := SolveEigen(context.Background(), a, 5, pol)
+	res, err := SolveEigen(context.Background(), a, 5, sparsePolicy(&FaultPlan{FailAttempts: []int{2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 2 || res.Degraded || res.DenseFallback {
+	if res.Attempts != 3 || res.Degraded || res.DenseFallback {
 		t.Fatalf("seed-restart rung: %+v", res)
 	}
 	checkValues(t, res.Dec.Values, refValues(t, a, 5))
@@ -101,14 +103,11 @@ func TestSolveEigenSeedRestart(t *testing.T) {
 // Krylov cap.
 func TestSolveEigenStallEscalation(t *testing.T) {
 	a := pathLaplacian(60)
-	plan := &FaultPlan{StallAttempts: []int{1}}
-	pol := sparsePolicy()
-	pol.Faults = plan
-	res, err := SolveEigen(context.Background(), a, 5, pol)
+	res, err := SolveEigen(context.Background(), a, 5, sparsePolicy(&FaultPlan{StallAttempts: []int{2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 2 || res.Degraded || res.DenseFallback {
+	if res.Attempts != 3 || res.Degraded || res.DenseFallback {
 		t.Fatalf("stall-escalation rung: %+v", res)
 	}
 	checkValues(t, res.Dec.Values, refValues(t, a, 5))
@@ -118,28 +117,22 @@ func TestSolveEigenStallEscalation(t *testing.T) {
 // solver.
 func TestSolveEigenDenseFallback(t *testing.T) {
 	a := pathLaplacian(60)
-	plan := &FaultPlan{StallAttempts: []int{1, 2, 3}}
-	pol := sparsePolicy()
-	pol.Faults = plan
-	res, err := SolveEigen(context.Background(), a, 5, pol)
+	res, err := SolveEigen(context.Background(), a, 5, sparsePolicy(&FaultPlan{StallAttempts: []int{2, 3, 4}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.DenseFallback || res.Degraded || res.Attempts != 4 {
+	if !res.DenseFallback || res.Degraded || res.Attempts != 5 {
 		t.Fatalf("dense-fallback rung: %+v", res)
 	}
 	checkValues(t, res.Dec.Values, refValues(t, a, 5))
 }
 
-// Rung 4: with the dense fallback unavailable, the converged prefix is
+// Rung 4: with the dense fallback failing too, the converged prefix is
 // delivered as a degraded (d' < d) decomposition.
 func TestSolveEigenDegradation(t *testing.T) {
 	a := pathLaplacian(60)
-	plan := &FaultPlan{StallAttempts: []int{1, 2, 3}, StallConverged: 3}
-	pol := sparsePolicy()
-	pol.Faults = plan
-	pol.NoDenseFallback = true
-	res, err := SolveEigen(context.Background(), a, 5, pol)
+	plan := &FaultPlan{FailAttempts: []int{5}, StallAttempts: []int{2, 3, 4}, StallConverged: 3}
+	res, err := SolveEigen(context.Background(), a, 5, sparsePolicy(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +146,11 @@ func TestSolveEigenDegradation(t *testing.T) {
 // by a restart.
 func TestSolveEigenNaNRecovery(t *testing.T) {
 	a := pathLaplacian(60)
-	plan := &FaultPlan{NaNAttempts: []int{1}, NaNStep: 3}
-	pol := sparsePolicy()
-	pol.Faults = plan
-	res, err := SolveEigen(context.Background(), a, 5, pol)
+	res, err := SolveEigen(context.Background(), a, 5, sparsePolicy(&FaultPlan{NaNAttempts: []int{2}, NaNStep: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts != 2 || res.Degraded {
+	if res.Attempts != 3 || res.Degraded {
 		t.Fatalf("NaN-recovery: %+v", res)
 	}
 	checkValues(t, res.Dec.Values, refValues(t, a, 5))
@@ -178,16 +168,118 @@ func TestLanczosBreakdownError(t *testing.T) {
 
 func TestSolveEigenExhausted(t *testing.T) {
 	a := pathLaplacian(60)
-	plan := &FaultPlan{FailAttempts: []int{1, 2, 3, 4}}
-	pol := sparsePolicy()
-	pol.Faults = plan
-	_, err := SolveEigen(context.Background(), a, 5, pol)
+	_, err := SolveEigen(context.Background(), a, 5, sparsePolicy(&FaultPlan{FailAttempts: []int{2, 3, 4, 5}}))
 	if err == nil {
 		t.Fatal("want error after exhausting every rung")
 	}
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("exhaustion error %v does not wrap the last cause", err)
 	}
+}
+
+// warmStartFixture returns a sparse-regime operator (n = 300 > 256, a
+// random connected graph's Laplacian, which Lanczos converges on fast),
+// its cold solve, and a start vector blended from a perturbed copy's
+// smallest pairs — a warm start like the one an ECO delta hands in.
+func warmStartFixture(t *testing.T, d int) (linalg.Operator, *PartialDecomposition, []float64) {
+	t.Helper()
+	a := graph.RandomConnected(300, 900, 300).Laplacian()
+	cold, err := SolveEigen(context.Background(), a, d, EigenPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near, err := SolveEigen(context.Background(), graph.RandomConnected(300, 901, 300).Laplacian(), d, EigenPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make([]float64, a.Dim())
+	for j := 0; j < d; j++ {
+		linalg.Axpy(1/float64(j+1), near.Dec.Vector(j), start)
+	}
+	return a, cold, start
+}
+
+func sameDecomposition(t *testing.T, label string, got, want *eigen.Decomposition) {
+	t.Helper()
+	if !equalBits(got.Values, want.Values) || !equalBits(got.Vectors.Data, want.Vectors.Data) {
+		t.Fatalf("%s: decomposition differs bit for bit", label)
+	}
+}
+
+// Attempt 0: in the sparse regime a start vector is a seeded Lanczos
+// attempt ahead of the cold rungs, and it converges to the cold pairs.
+func TestSolveEigenFromSeeded(t *testing.T) {
+	a, cold, start := warmStartFixture(t, 6)
+	res, err := SolveEigenFrom(context.Background(), a, 6, start, EigenPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Seeded || res.Attempts != 1 || res.Delivered != 6 {
+		t.Fatalf("seeded solve took unexpected path: %+v", res)
+	}
+	for j, v := range res.Dec.Values {
+		if math.Abs(v-cold.Dec.Values[j]) > 1e-6 {
+			t.Fatalf("value %d = %v, cold %v", j, v, cold.Dec.Values[j])
+		}
+	}
+}
+
+// The dense regime ignores the start: the answer is SolveEigen's.
+func TestSolveEigenFromDenseIgnoresStart(t *testing.T) {
+	a := pathLaplacian(60)
+	start := make([]float64, 60)
+	for i := range start {
+		start[i] = float64(i)
+	}
+	want, err := SolveEigen(context.Background(), a, 5, EigenPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SolveEigenFrom(context.Background(), a, 5, start, EigenPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seeded || got.Attempts != 1 {
+		t.Fatalf("dense solve used the start: %+v", got)
+	}
+	sameDecomposition(t, "dense regime", got.Dec, want.Dec)
+}
+
+// A failed attempt 0 leaves no trace: attempt 1 runs as in a cold
+// solve, so the pairs are SolveEigen's bit for bit; and a stalled
+// attempt 0's converged prefix is not kept for the degradation rung.
+func TestSolveEigenFromFailedStartIsCold(t *testing.T) {
+	a, cold, start := warmStartFixture(t, 6)
+	res, err := SolveEigenFrom(context.Background(), a, 6, start, EigenPolicy{Faults: &FaultPlan{FailAttempts: []int{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Seeded || res.Attempts != 2 {
+		t.Fatalf("failed start: %+v", res)
+	}
+	sameDecomposition(t, "after a failed start", res.Dec, cold.Dec)
+
+	plan := &FaultPlan{StallAttempts: []int{1}, StallConverged: 3, FailAttempts: []int{2, 3, 4, 5}}
+	if res, err := SolveEigenFrom(context.Background(), a, 6, start, EigenPolicy{Faults: plan}); err == nil {
+		t.Fatalf("degraded to the stalled start's prefix: %+v", res)
+	}
+}
+
+// The seeded attempt is worker-invariant like every rung.
+func TestSolveEigenFromWorkerInvariant(t *testing.T) {
+	a, _, start := warmStartFixture(t, 6)
+	serial, err := SolveEigenFrom(context.Background(), a, 6, start, EigenPolicy{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := SolveEigenFrom(context.Background(), a, 6, start, EigenPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !serial.Seeded || !par.Seeded {
+		t.Fatalf("seeded attempt did not converge: serial %v, default %v", serial.Notes, par.Notes)
+	}
+	sameDecomposition(t, "Workers 1 vs 0", par.Dec, serial.Dec)
 }
 
 // cancellingOp cancels its context after a fixed number of MatVec
@@ -218,7 +310,7 @@ func TestSolveEigenCancellationMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	op := &cancellingOp{inner: pathLaplacian(120), cancel: cancel, cancelAt: 5}
-	_, err := SolveEigen(ctx, op, 5, sparsePolicy())
+	_, err := SolveEigen(ctx, op, 5, sparsePolicy(&FaultPlan{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -230,7 +322,7 @@ func TestSolveEigenCancellationMidSolve(t *testing.T) {
 func TestSolveEigenPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveEigen(ctx, pathLaplacian(60), 5, sparsePolicy()); !errors.Is(err, context.Canceled) {
+	if _, err := SolveEigen(ctx, pathLaplacian(60), 5, sparsePolicy(&FaultPlan{})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

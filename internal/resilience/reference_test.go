@@ -88,7 +88,7 @@ func TestSolveEigenMatchesRetiredDispatcher(t *testing.T) {
 		tols   []float64
 	}{
 		{"dense-direct", 120, 4, both},
-		// Above DenseDirectN but d > n/3: still dense. The dense
+		// Above the dense-direct floor but d > n/3: still dense. The dense
 		// solve ignores tol, and at this size it is the slow case.
 		{"dense-wide-d", 258, 87, both[:1]},
 		{"lanczos", 300, 3, both},

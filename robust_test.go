@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,10 +21,12 @@ func validPartition(t *testing.T, h *Netlist, p *Partitioning, k int) {
 	}
 }
 
-// faultPolicy forces the sparse Lanczos path (so faults actually hit it)
-// and attaches the plan.
+// faultPolicy attaches the plan. Every plan below fails attempt 1, the
+// dense-direct solve a small netlist starts with, so the ladder's
+// sparse Lanczos rungs run (plan attempts 2–4, dense fallback 5) and
+// the plan's other faults hit them.
 func faultPolicy(plan *resilience.FaultPlan) resilience.EigenPolicy {
-	return resilience.EigenPolicy{DenseDirectN: 1, Faults: plan}
+	return resilience.EigenPolicy{Faults: plan}
 }
 
 // Each ladder rung, end to end: a fault plan drives the eigensolver down
@@ -35,10 +38,10 @@ func TestPartitionFaultInjectionLadder(t *testing.T) {
 		name string
 		plan *resilience.FaultPlan
 	}{
-		{"seed-restart", &resilience.FaultPlan{FailAttempts: []int{1}}},
-		{"krylov-escalation", &resilience.FaultPlan{StallAttempts: []int{1}}},
-		{"dense-fallback", &resilience.FaultPlan{StallAttempts: []int{1, 2, 3}}},
-		{"nan-breakdown", &resilience.FaultPlan{NaNAttempts: []int{1}, NaNStep: 3}},
+		{"seed-restart", &resilience.FaultPlan{FailAttempts: []int{1, 2}}},
+		{"krylov-escalation", &resilience.FaultPlan{FailAttempts: []int{1}, StallAttempts: []int{2}}},
+		{"dense-fallback", &resilience.FaultPlan{FailAttempts: []int{1}, StallAttempts: []int{2, 3, 4}}},
+		{"nan-breakdown", &resilience.FaultPlan{FailAttempts: []int{1}, NaNAttempts: []int{2}, NaNStep: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,7 +51,7 @@ func TestPartitionFaultInjectionLadder(t *testing.T) {
 				t.Fatal(err)
 			}
 			validPartition(t, h, p, 4)
-			if tc.plan.Attempts() < 2 {
+			if tc.plan.Attempts() < 3 {
 				t.Fatalf("fault plan never fired: %d attempts", tc.plan.Attempts())
 			}
 		})
@@ -56,12 +59,11 @@ func TestPartitionFaultInjectionLadder(t *testing.T) {
 }
 
 // The degradation rung: every sparse attempt stalls with only a prefix
-// converged and the dense fallback is disabled, so MELO must run on a
+// converged and the dense fallback fails, so MELO must run on a
 // degraded (d' < d) decomposition — and still produce a valid result.
 func TestPartitionEigenvectorDegradation(t *testing.T) {
 	h := smallBenchmark(t)
-	pol := faultPolicy(&resilience.FaultPlan{StallAttempts: []int{1, 2, 3}, StallConverged: 3})
-	pol.NoDenseFallback = true
+	pol := faultPolicy(&resilience.FaultPlan{FailAttempts: []int{1, 5}, StallAttempts: []int{2, 3, 4}, StallConverged: 3})
 	p, err := runPartition(context.Background(), h, nil, Options{K: 4, Method: MELO, D: 5}, pol)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +75,7 @@ func TestPartitionEigenvectorDegradation(t *testing.T) {
 // never a partial or invalid partitioning.
 func TestPartitionLadderExhausted(t *testing.T) {
 	h := smallBenchmark(t)
-	pol := faultPolicy(&resilience.FaultPlan{FailAttempts: []int{1, 2, 3, 4}})
-	pol.NoDenseFallback = true
+	pol := faultPolicy(&resilience.FaultPlan{FailAttempts: []int{1, 2, 3, 4, 5}})
 	p, err := runPartition(context.Background(), h, nil, Options{K: 4, Method: MELO, D: 3}, pol)
 	if p != nil {
 		t.Fatal("got a partitioning despite total eigensolver failure")
@@ -116,6 +117,32 @@ func TestPartitionCtxDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancellation took %v; want within one iteration-check interval", elapsed)
+	}
+}
+
+// cancelAfterEntryCtx passes its first Err check — the façade's entry
+// check — and reports context.Canceled on every later one, so only a
+// stage that honours the run's ctx can notice the cancellation.
+type cancelAfterEntryCtx struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *cancelAfterEntryCtx) Err() error {
+	if c.checks.Add(1) > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A Barnes run must stop its eigensolve when the run's ctx is
+// cancelled, like every other method.
+func TestPartitionBarnesHonoursCtx(t *testing.T) {
+	h := smallBenchmark(t)
+	ctx := &cancelAfterEntryCtx{Context: context.Background()}
+	p, err := PartitionCtx(ctx, h, Options{K: 2, Method: Barnes})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got partition %v, err %v; want context.Canceled", p != nil, err)
 	}
 }
 

@@ -246,6 +246,11 @@ type pipeline struct {
 	// reuse; decompose consults it before solving (see
 	// PartitionWithSpectrum).
 	sp *Spectrum
+	// seed, when non-nil, is a nearby netlist's spectrum offered as a
+	// warm start (see DecomposeWarmCtxPolicy); decompose records how it
+	// was used in warm.
+	seed *Spectrum
+	warm WarmInfo
 }
 
 // enter advances the pipeline to stage s: the previous stage's span
@@ -365,7 +370,9 @@ func (pl *pipeline) partitionRSB(h *Netlist) (*Partitioning, error) {
 // eigenpairs via the resilience ladder, handling disconnected graphs per
 // component. A precomputed spectrum on the pipeline that covers (model,
 // d) is reused instead — no graph build, no eigensolve; an insufficient
-// or mismatched spectrum is ignored and the full path runs.
+// or mismatched spectrum is ignored and the full path runs. A warm-start
+// seed is tried on the built graph: accepted outright, handed to the
+// ladder as its attempt 0, or rejected for a cold solve.
 func (pl *pipeline) decompose(h *Netlist, model graph.CliqueModel, d int) (*graph.Graph, *eigen.Decomposition, error) {
 	want := d + 1
 	if want > h.NumModules() {
@@ -385,16 +392,35 @@ func (pl *pipeline) decompose(h *Netlist, model graph.CliqueModel, d int) (*grap
 		return nil, nil, err
 	}
 	pl.enter(resilience.StageEigen)
-	dec, err := pl.solveComponents(g, want)
+	var start []float64
+	if pl.seed != nil {
+		var accepted *eigen.Decomposition
+		if accepted, start = pl.trySeed(g, model, want); accepted != nil {
+			pl.settleWarm(WarmOutcomeAccepted)
+			return g, accepted, nil
+		}
+	}
+	dec, seeded, err := pl.solveComponents(g, want, start)
 	if err != nil {
 		return nil, nil, err
+	}
+	if pl.seed != nil {
+		outcome := WarmOutcomeRejected
+		if seeded {
+			outcome = WarmOutcomeSeeded
+		} else if start != nil {
+			pl.warm.Reason = "seeded attempt not applicable (dense or disconnected) or not converged"
+		}
+		pl.settleWarm(outcome)
 	}
 	return g, dec, nil
 }
 
-// solveComponents runs the eigensolver ladder on g's Laplacian. A
-// disconnected graph is solved per component and the eigenpairs merged
-// by ascending eigenvalue — exact, because a disconnected Laplacian is
+// solveComponents runs the eigensolver ladder on g's Laplacian,
+// reporting whether the ladder's warm attempt 0 from start produced the
+// pairs. A disconnected graph is solved per component (cold; start is
+// a whole-graph vector) and the eigenpairs merged by ascending
+// eigenvalue — exact, because a disconnected Laplacian is
 // block-diagonal so its spectrum is the union of the component spectra.
 // This also keeps Lanczos away from the degenerate zero eigenvalue of
 // multiplicity = #components, its worst case.
@@ -404,15 +430,15 @@ func (pl *pipeline) decompose(h *Netlist, model graph.CliqueModel, d int) (*grap
 // kernels inside each solve. Each solve is worker-invariant and the
 // results are merged in component order, so the decomposition is the
 // same at every parallelism level.
-func (pl *pipeline) solveComponents(g *graph.Graph, want int) (*eigen.Decomposition, error) {
+func (pl *pipeline) solveComponents(g *graph.Graph, want int, start []float64) (*eigen.Decomposition, bool, error) {
 	comps := g.Components()
 	workers := pl.workers()
 	if len(comps) <= 1 {
-		sol, err := resilience.SolveEigen(pl.ctx, g.Laplacian(), want, pl.eigenPolicy(workers))
+		sol, err := resilience.SolveEigenFrom(pl.ctx, g.Laplacian(), want, start, pl.eigenPolicy(workers))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return sol.Dec, nil
+		return sol.Dec, sol.Seeded, nil
 	}
 	conc := workers
 	if conc > len(comps) {
@@ -467,7 +493,7 @@ func (pl *pipeline) solveComponents(g *graph.Graph, want int) (*eigen.Decomposit
 	var pairs []pair
 	for _, out := range outs { // first failing component (in order) wins
 		if out.err != nil {
-			return nil, out.err
+			return nil, false, out.err
 		}
 		pairs = append(pairs, out.pairs...)
 	}
@@ -483,7 +509,7 @@ func (pl *pipeline) solveComponents(g *graph.Graph, want int) (*eigen.Decomposit
 			vecs.Set(orig, j, pr.vec[i])
 		}
 	}
-	return &eigen.Decomposition{Values: vals, Vectors: vecs}, nil
+	return &eigen.Decomposition{Values: vals, Vectors: vecs}, false, nil
 }
 
 func (pl *pipeline) partitionMELO(h *Netlist) (*Partitioning, error) {
@@ -592,7 +618,7 @@ func (pl *pipeline) partitionBarnes(h *Netlist) (*Partitioning, error) {
 		return nil, err
 	}
 	pl.enter(resilience.StageSplit)
-	return barnes.Partition(g, barnes.Options{K: pl.o.K, SignFlips: true})
+	return barnes.PartitionCtx(pl.ctx, g, barnes.Options{K: pl.o.K, SignFlips: true})
 }
 
 func (pl *pipeline) partitionHL(h *Netlist) (*Partitioning, error) {

@@ -169,15 +169,15 @@ func ParseModel(s string) (Model, error) {
 // DecomposeWarmCtxPolicy. A nil seed is the plain cold path: one
 // "decompose" span, no warm-start counter, and WarmInfo{Outcome:
 // "cold", Reason: "no seed spectrum"}. With a seed the span is
-// "decompose.warm", the seed is tried first (warmStart), and a cold
-// solve runs only if it is rejected.
+// "decompose.warm" and pipeline.decompose tries the seed on the graph
+// it builds (see trySeed) before, or as attempt 0 of, the solve.
 func decompose(ctx context.Context, h *Netlist, model Model, d int, seed *Spectrum, pol resilience.EigenPolicy) (*Spectrum, WarmInfo, error) {
 	cm, merr := model.clique()
-	op, info := "decompose", WarmInfo{Outcome: WarmOutcomeCold, Reason: "no seed spectrum"}
-	if seed != nil {
-		op, info = "decompose.warm", WarmInfo{}
+	pl := &pipeline{o: Options{D: d}.withDefaults(), pol: pol, seed: seed}
+	op := "decompose.warm"
+	if seed == nil {
+		op, pl.warm = "decompose", WarmInfo{Outcome: WarmOutcomeCold, Reason: "no seed spectrum"}
 	}
-	pl := &pipeline{o: Options{D: d}.withDefaults(), pol: pol}
 	var sp *Spectrum
 	err := pl.guard(ctx, h, op,
 		[]trace.Attr{trace.Str("model", model.String()), trace.Int("d", d)},
@@ -190,12 +190,7 @@ func decompose(ctx context.Context, h *Netlist, model Model, d int, seed *Spectr
 			}
 			return nil
 		},
-		func() (err error) {
-			if seed != nil {
-				if sp, err = pl.warmStart(h, cm, d, seed, &info); sp != nil || err != nil {
-					return err
-				}
-			}
+		func() error {
 			g, dec, err := pl.decompose(h, cm, d)
 			if err != nil {
 				return err
@@ -204,9 +199,9 @@ func decompose(ctx context.Context, h *Netlist, model Model, d int, seed *Spectr
 			return nil
 		})
 	if err != nil {
-		return nil, info, err
+		return nil, pl.warm, err
 	}
-	return sp, info, nil
+	return sp, pl.warm, nil
 }
 
 // satisfies reports whether the spectrum can stand in for a fresh

@@ -9,21 +9,16 @@ import (
 	"repro/internal/resilience"
 )
 
-// failingEigenPolicy makes every eigensolve attempt fail hard: the
-// sparse rungs are fault-injected, the dense rungs disabled. Any code
-// path that reaches the eigensolver under this policy errors out, so a
-// successful run proves the eigensolve was skipped.
+// failingEigenPolicy makes every eigensolve attempt fail hard, dense
+// and sparse rungs alike. Any code path that reaches the eigensolver
+// under this policy errors out, so a successful run proves the
+// eigensolve was skipped.
 func failingEigenPolicy() resilience.EigenPolicy {
 	fail := make([]int, 200)
 	for i := range fail {
 		fail[i] = i + 1
 	}
-	return resilience.EigenPolicy{
-		DenseDirectN:      1,
-		NoDenseFallback:   true,
-		MaxSparseAttempts: 1,
-		Faults:            &resilience.FaultPlan{FailAttempts: fail},
-	}
+	return resilience.EigenPolicy{Faults: &resilience.FaultPlan{FailAttempts: fail}}
 }
 
 func TestDecomposeAccessors(t *testing.T) {

@@ -2,7 +2,6 @@ package spectral
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/eigen"
 	"repro/internal/graph"
@@ -17,15 +16,17 @@ const (
 	// residual tolerance on the delta netlist's operator; the spectrum
 	// was refreshed without running an eigensolve.
 	WarmOutcomeAccepted = "accepted"
-	// WarmOutcomeSeeded: Lanczos ran, starting from the seed's combined
-	// Ritz direction instead of a random vector.
+	// WarmOutcomeSeeded: the resilience ladder's attempt 0 — Lanczos
+	// from the seed's combined Ritz direction instead of a random
+	// vector — converged.
 	WarmOutcomeSeeded = "seeded"
-	// WarmOutcomeRejected: the residual check (or a structural check —
-	// dimension mismatch, non-finite entries, lost orthonormality)
-	// rejected the seed and a cold solve ran instead.
+	// WarmOutcomeRejected: the residual check or a structural check
+	// (shape mismatch, non-finite entries, lost orthonormality)
+	// rejected the seed, or the seeded attempt did not run (dense
+	// regime, disconnected netlist) or did not converge; the cold
+	// solve's answer was returned.
 	WarmOutcomeRejected = "rejected"
-	// WarmOutcomeCold: warm-starting was not attempted (no seed, seed
-	// shape mismatch, dense-solve regime, or disconnected netlist).
+	// WarmOutcomeCold: warm-starting was not attempted (no seed).
 	WarmOutcomeCold = "cold"
 )
 
@@ -54,18 +55,20 @@ func DecomposeWarm(h *Netlist, model Model, d int, seed *Spectrum) (*Spectrum, W
 // cached spectrum of a nearby netlist (typically the base a delta was
 // applied to) — before paying for a cold eigensolve. The spectrald
 // daemon routes all of its eigensolves through it, so a deterministic
-// fault plan (chaos testing) or tuned retry ladder can be injected into
-// an otherwise production pipeline. Four things can happen, reported in
-// WarmInfo:
+// fault plan (chaos testing) can be injected into an otherwise
+// production pipeline; it reaches the seeded attempt too. Four things
+// can happen, reported in WarmInfo:
 //
 //   - accepted: every seed Ritz pair passes the residual check
 //     ‖A v − θ v‖ ≤ tol·scale on h's operator (tol is the resilience
 //     policy's tolerance, the same one a cold solve converges under).
 //     The refreshed seed IS the answer; no solve runs.
-//   - seeded: the seed is a usable subspace but not converged; Lanczos
-//     runs with the seed's combined Ritz direction as its starting
-//     vector, then falls back to a cold solve if it fails to converge.
-//   - rejected: the seed failed a check and the cold solve runs.
+//   - seeded: the seed is a usable subspace but not converged; the
+//     resilience ladder runs with the seed's combined Ritz direction as
+//     its attempt 0 and converged there.
+//   - rejected: the seed failed a check, or the seeded attempt did not
+//     apply (dense regime, disconnected netlist) or did not converge,
+//     and the cold answer is returned bit for bit.
 //   - cold: seed is nil. This is exactly DecomposeCtx under pol — one
 //     "decompose" span and no warm-start counter.
 //
@@ -83,77 +86,34 @@ func DecomposeWarmCtxPolicy(ctx context.Context, h *Netlist, model Model, d int,
 	return decompose(ctx, h, model, d, seed, pol)
 }
 
-// warmStart tries to answer a decomposition from seed, recording the
-// outcome in info and, once it is settled, on the root span and the
-// tracer. A nil spectrum with a nil error means the seed was rejected:
-// the caller runs the cold solve.
-func (pl *pipeline) warmStart(h *Netlist, cm graph.CliqueModel, d int, seed *Spectrum, info *WarmInfo) (*Spectrum, error) {
-	defer func() {
-		pl.rspan.Annotate(trace.Str("outcome", info.Outcome))
-		if info.Outcome != "" {
-			trace.Add(pl.root, "eigen.warmstart."+info.Outcome, 1)
-		}
-	}()
-	n := h.NumModules()
-	want := min(d+1, n)
-	if !seed.satisfies(n, cm, want) {
+// trySeed evaluates the pipeline's warm-start seed against g's
+// Laplacian and records the verdict's residual, scale and reason in
+// pl.warm. It returns the refreshed pairs when the seed is accepted
+// outright, or the start vector for the ladder's attempt 0 when the
+// seed is worth one; both nil means a cold solve.
+func (pl *pipeline) trySeed(g *graph.Graph, model graph.CliqueModel, want int) (accepted *eigen.Decomposition, start []float64) {
+	if !pl.seed.satisfies(g.N(), model, want) {
 		// A present-but-incompatible seed (wrong module count, model, or
 		// too few pairs) is a rejection, not a cold run: the caller asked
 		// for a warm start and the seed failed its checks.
-		info.Outcome, info.Reason = WarmOutcomeRejected, "seed spectrum incompatible (module count, model, or pair count)"
+		pl.warm.Reason = "seed spectrum incompatible (module count, model, or pair count)"
 		return nil, nil
 	}
-
-	// Evaluate the seed against the new operator: d+1 matvecs on top of
-	// the graph build.
-	g, err := graph.FromHypergraph(h, cm, 0)
-	if err != nil {
-		return nil, err
-	}
-	tol := pl.pol.Tol
-	if tol <= 0 {
-		tol = resilience.DefaultTol
-	}
-	ev := eigen.EvaluateWarmSeed(g.Laplacian(), seed.dec, want, tol)
-	info.MaxResidual, info.Scale, info.Reason = ev.MaxResidual, ev.Scale, ev.Reason
+	ev := eigen.EvaluateWarmSeed(g.Laplacian(), pl.seed.dec, want, pl.pol.Tolerance())
+	pl.warm.MaxResidual, pl.warm.Scale, pl.warm.Reason = ev.MaxResidual, ev.Scale, ev.Reason
 	switch ev.Outcome {
 	case eigen.WarmAccepted:
-		info.Outcome = WarmOutcomeAccepted
-		return &Spectrum{modules: n, model: cm, g: g, dec: ev.Refreshed}, nil
+		return ev.Refreshed, nil
 	case eigen.WarmSeeded:
-		// A seeded Lanczos only makes sense where a cold solve would
-		// iterate: connected graph, sparse regime. Everywhere else the
-		// resilience ladder's dense solve is both fast and seed-blind.
-		denseN := pl.pol.DenseDirectN
-		if denseN <= 0 {
-			denseN = resilience.DefaultDenseDirectN
-		}
-		if n <= denseN || want > n/3 || len(g.Components()) > 1 {
-			info.Outcome, info.Reason = WarmOutcomeRejected, "seeded regime not applicable (dense or disconnected)"
-			return nil, nil
-		}
-		seedID := pl.pol.BaseSeed
-		if seedID == 0 {
-			seedID = 1
-		}
-		pl.enter(resilience.StageEigen)
-		dec, err := eigen.LanczosCtx(pl.ctx, g.Laplacian(), want, &eigen.LanczosOptions{
-			Tol:           tol,
-			Seed:          seedID,
-			Workers:       pl.workers(),
-			InitialVector: ev.Start,
-		})
-		if err != nil {
-			if resilience.IsContextError(err) {
-				return nil, err
-			}
-			info.Outcome, info.Reason = WarmOutcomeRejected, fmt.Sprintf("seeded solve failed: %v", err)
-			return nil, nil
-		}
-		info.Outcome = WarmOutcomeSeeded
-		return &Spectrum{modules: n, model: cm, g: g, dec: dec}, nil
-	default:
-		info.Outcome = WarmOutcomeRejected
-		return nil, nil
+		return nil, ev.Start
 	}
+	return nil, nil
+}
+
+// settleWarm records the warm-start outcome in pl.warm, on the root
+// span and on the tracer as "eigen.warmstart.<outcome>".
+func (pl *pipeline) settleWarm(outcome string) {
+	pl.warm.Outcome = outcome
+	pl.rspan.Annotate(trace.Str("outcome", outcome))
+	trace.Add(pl.root, "eigen.warmstart."+outcome, 1)
 }
