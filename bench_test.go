@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fm"
 	"repro/internal/graph"
+	"repro/internal/hypergraph"
 	"repro/internal/melo"
 	"repro/internal/partition"
 	"repro/internal/resilience"
@@ -225,3 +226,52 @@ func BenchmarkNetCut(b *testing.B) {
 		}
 	}
 }
+
+// mlBenchNetlist synthesizes the n-module timing netlist of the
+// flat-vs-multilevel pair: a chain of two-pin nets plus up to 5n/2
+// three-pin nets whose pins a multiplicative congruence spreads over the
+// modules, deterministic without math/rand.
+func mlBenchNetlist(b *testing.B, n int) *Netlist {
+	bl := hypergraph.NewBuilder()
+	bl.AddModules(n)
+	for i := 0; i+1 < n; i++ {
+		if err := bl.AddNet(fmt.Sprintf("c%d", i), i, i+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	state := uint64(12345)
+	next := func(bound int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int((state >> 33) % uint64(bound))
+	}
+	for e := 0; e < 5*n/2; e++ {
+		u, v, z := next(n), next(n), next(n)
+		if u == v || v == z || u == z {
+			continue
+		}
+		if err := bl.AddNet(fmt.Sprintf("r%d", e), u, v, z); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return bl.Build()
+}
+
+func benchBipartition(b *testing.B, m Method) {
+	for _, n := range []int{1000, 10000} {
+		h := mlBenchNetlist(b, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := PartitionCtx(context.Background(), h, Options{K: 2, Method: m}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFlatMELO and BenchmarkMultilevelMELO are the pair behind
+// DESIGN's multilevel-over-flat speedup: the same K=2 bipartition of one
+// netlist at n = 10³ and 10⁴, through the O(d·n²) flat pipeline and the
+// coarsen→solve→uncoarsen V-cycle.
+func BenchmarkFlatMELO(b *testing.B)       { benchBipartition(b, MELO) }
+func BenchmarkMultilevelMELO(b *testing.B) { benchBipartition(b, MultilevelMELO) }

@@ -39,6 +39,9 @@ const (
 // semi-orthogonality threshold selective reorthogonalization maintains.
 const lanczosEps = 0x1p-52
 
+// checkEvery is how often (in Lanczos steps) convergence is tested.
+const checkEvery = 10
+
 // LanczosOptions configures the Lanczos solver. The zero value selects
 // sensible defaults.
 type LanczosOptions struct {
@@ -50,9 +53,6 @@ type LanczosOptions struct {
 	MaxDim int
 	// Seed seeds the deterministic starting vector. Default 1.
 	Seed int64
-	// CheckEvery controls how often (in Lanczos steps) convergence is
-	// tested. Default 10.
-	CheckEvery int
 	// Reorth selects full or selective reorthogonalization; the zero
 	// value is ReorthSelective.
 	Reorth ReorthMode
@@ -79,7 +79,7 @@ type LanczosOptions struct {
 }
 
 func (o *LanczosOptions) withDefaults(n, d int) LanczosOptions {
-	v := LanczosOptions{Tol: 1e-9, Seed: 1, CheckEvery: 10}
+	v := LanczosOptions{Tol: 1e-9, Seed: 1}
 	if o != nil {
 		if o.Tol > 0 {
 			v.Tol = o.Tol
@@ -89,9 +89,6 @@ func (o *LanczosOptions) withDefaults(n, d int) LanczosOptions {
 		}
 		if o.Seed != 0 {
 			v.Seed = o.Seed
-		}
-		if o.CheckEvery > 0 {
-			v.CheckEvery = o.CheckEvery
 		}
 		v.Reorth = o.Reorth
 		v.Fault = o.Fault
@@ -292,7 +289,7 @@ func LanczosCtx(ctx context.Context, a linalg.Operator, d int, opts *LanczosOpti
 
 		j := len(basis)
 		invariant := beta <= 1e-12*scale
-		if j >= d && (j%o.CheckEvery == 0 || j == o.MaxDim || j == n || (invariant && j+1 >= n)) {
+		if j >= d && (j%checkEvery == 0 || j == o.MaxDim || j == n || (invariant && j+1 >= n)) {
 			vals, svecs, err := ws.eig(alphas, betas[:j-1])
 			if err != nil {
 				return nil, err

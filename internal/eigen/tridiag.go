@@ -190,7 +190,7 @@ const unitRoundoff = 1e-15
 
 // tridiagWS is a reusable workspace for the tridiagonal
 // eigendecompositions the Lanczos convergence checks run every
-// CheckEvery steps. It exists so the Lanczos iteration loop performs no
+// checkEvery steps. It exists so the Lanczos iteration loop performs no
 // per-check allocations once the workspace has grown to the Krylov
 // budget: the returned slices and matrix ALIAS the workspace and are
 // valid only until the next eig call — callers must copy anything that
@@ -210,7 +210,7 @@ func (ws *tridiagWS) eig(diag, sub []float64) (vals []float64, vecs *linalg.Dens
 		return nil, nil, errors.New("eigen: subdiagonal must have length n-1")
 	}
 	// Grow geometrically: successive convergence checks arrive with n
-	// increasing by CheckEvery, and per-check reallocation would defeat
+	// increasing by checkEvery, and per-check reallocation would defeat
 	// the workspace (O(checks) allocations instead of O(log)).
 	if cap(ws.d) < n {
 		ws.d = make([]float64, 0, 2*n)

@@ -118,11 +118,7 @@ func (p *Pool) journalSubmit(j *Job) error {
 	if p.jnl == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := spectral.SaveNetlist(&buf, "", j.req.Netlist); err != nil {
-		return fmt.Errorf("%w: serialize netlist: %v", ErrJournal, err)
-	}
-	if err := p.jnl.AppendNetlist(j.req.Hash, "", buf.Bytes(), j.created.UnixNano()); err != nil {
+	if err := p.jnl.AppendNetlist(j.req.Hash, "", netlistBody(j.req.Netlist), j.created.UnixNano()); err != nil {
 		p.noteJournalError()
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
@@ -130,11 +126,7 @@ func (p *Pool) journalSubmit(j *Job) error {
 		// A delta job's base body must survive too: replay re-partitions
 		// the base for the stability report, and can rebuild the mutated
 		// netlist from base+delta if the mutated record is damaged.
-		var bbuf bytes.Buffer
-		if err := spectral.SaveNetlist(&bbuf, "", j.req.BaseNetlist); err != nil {
-			return fmt.Errorf("%w: serialize base netlist: %v", ErrJournal, err)
-		}
-		if err := p.jnl.AppendNetlist(j.req.BaseHash, "", bbuf.Bytes(), j.created.UnixNano()); err != nil {
+		if err := p.jnl.AppendNetlist(j.req.BaseHash, "", netlistBody(j.req.BaseNetlist), j.created.UnixNano()); err != nil {
 			p.noteJournalError()
 			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
@@ -150,6 +142,18 @@ func (p *Pool) journalSubmit(j *Job) error {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	return nil
+}
+
+// netlistBody returns the journal body producer for h: its text
+// serialization, built only when the journal has not recorded its hash.
+func netlistBody(h *spectral.Netlist) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		var buf bytes.Buffer
+		if err := spectral.SaveNetlist(&buf, "", h); err != nil {
+			return nil, fmt.Errorf("serialize netlist: %v", err)
+		}
+		return buf.Bytes(), nil
+	}
 }
 
 // finishRecord builds the journal record for a terminal transition.

@@ -269,7 +269,7 @@ func TestRestoreReanchorsQueueWaitClock(t *testing.T) {
 	}
 	hash := speccache.Fingerprint(h)
 	old := time.Now().Add(-time.Hour)
-	if err := jnl.AppendNetlist(hash, "", buf.Bytes(), old.UnixNano()); err != nil {
+	if err := jnl.AppendNetlist(hash, "", func() ([]byte, error) { return buf.Bytes(), nil }, old.UnixNano()); err != nil {
 		t.Fatal(err)
 	}
 	err := jnl.AppendDurable(journal.Record{

@@ -458,8 +458,10 @@ func (j *Journal) appendDurableGated(rec Record) error {
 
 // AppendNetlist durably journals a netlist body under its hash, once:
 // re-journaling a hash already recorded in this journal's lifetime is a
-// no-op, so every submission can call it unconditionally.
-func (j *Journal) AppendNetlist(hash, name string, body []byte, unixNS int64) error {
+// no-op, so every submission can call it unconditionally. body builds
+// the bytes and is called only for a hash the journal has not recorded,
+// so a repeat submission never serializes its netlist.
+func (j *Journal) AppendNetlist(hash, name string, body func() ([]byte, error), unixNS int64) error {
 	j.gate.RLock()
 	defer j.gate.RUnlock()
 	j.mu.Lock()
@@ -474,7 +476,10 @@ func (j *Journal) AppendNetlist(hash, name string, body []byte, unixNS int64) er
 	}
 	j.seen[hash] = struct{}{}
 	j.mu.Unlock()
-	err := j.appendDurableGated(Record{Type: TypeNetlist, Hash: hash, Name: name, Netlist: body, UnixNS: unixNS})
+	b, err := body()
+	if err == nil {
+		err = j.appendDurableGated(Record{Type: TypeNetlist, Hash: hash, Name: name, Netlist: b, UnixNS: unixNS})
+	}
 	if err != nil {
 		// Not durable: allow a retry on the next submission.
 		j.mu.Lock()

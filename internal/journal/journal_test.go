@@ -24,6 +24,10 @@ func submitRec(id, hash string) Record {
 	return Record{Type: TypeSubmit, ID: id, Hash: hash, Spec: &JobSpec{Kind: "partition", Method: "melo", K: 2, D: 10}}
 }
 
+func bodyOf(s string) func() ([]byte, error) {
+	return func() ([]byte, error) { return []byte(s), nil }
+}
+
 func finishRec(id, state string) Record {
 	return Record{Type: TypeFinish, ID: id, State: state, Result: json.RawMessage(`{"k":2}`)}
 }
@@ -36,11 +40,11 @@ func TestRoundTrip(t *testing.T) {
 	if len(rep.Jobs) != 0 || len(rep.Netlists) != 0 {
 		t.Fatalf("fresh dir replayed state: %+v", rep)
 	}
-	if err := j.AppendNetlist("sha256:aa", "prim1", []byte("net n1 a b\n"), 1); err != nil {
+	if err := j.AppendNetlist("sha256:aa", "prim1", bodyOf("net n1 a b\n"), 1); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicate netlist appends are deduplicated.
-	if err := j.AppendNetlist("sha256:aa", "prim1", []byte("net n1 a b\n"), 2); err != nil {
+	if err := j.AppendNetlist("sha256:aa", "prim1", bodyOf("net n1 a b\n"), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.AppendDurable(submitRec("job-000001", "sha256:aa")); err != nil {
@@ -310,6 +314,71 @@ func TestWriteErrorIsStickyUntilRewrite(t *testing.T) {
 	}
 	if st := j.Stats(); st.WriteErrors == 0 {
 		t.Error("write error not counted")
+	}
+}
+
+// AppendNetlist builds a body only for a hash the journal has not
+// recorded: a repeat never calls the producer, and a failed append
+// forgets the hash so the next submission builds and appends it again.
+func TestAppendNetlistBuildsBodyOnce(t *testing.T) {
+	dir := t.TempDir()
+	var ff *failFile
+	opts := Options{OpenFile: func(path string) (File, error) {
+		f, err := DefaultOpenFile(path)
+		if err != nil {
+			return nil, err
+		}
+		ff = &failFile{f: f}
+		return ff, nil
+	}}
+	j, _ := openT(t, dir, opts)
+	calls := map[string]int{}
+	body := func(hash string) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			calls[hash]++
+			return []byte("net n1 a b\n"), nil
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.AppendNetlist("sha256:aa", "", body("sha256:aa"), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls["sha256:aa"] != 1 {
+		t.Fatalf("body built %d times for one hash, want 1", calls["sha256:aa"])
+	}
+
+	ff.failAt = ff.writes + 1
+	if err := j.AppendNetlist("sha256:bb", "", body("sha256:bb"), 2); err == nil {
+		t.Fatal("append through failing file succeeded")
+	}
+	ff.failAt = 0
+	if err := j.CompactWith(func() []Record {
+		return []Record{{Type: TypeNetlist, Hash: "sha256:aa", Netlist: []byte("net n1 a b\n")}}
+	}); err != nil {
+		t.Fatalf("compaction recovery: %v", err)
+	}
+	if err := j.AppendNetlist("sha256:bb", "", body("sha256:bb"), 3); err != nil {
+		t.Fatalf("retry after failed append: %v", err)
+	}
+	if err := j.AppendNetlist("sha256:aa", "", body("sha256:aa"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if calls["sha256:bb"] != 2 || calls["sha256:aa"] != 1 {
+		t.Fatalf("body calls = %v, want sha256:bb twice (fail, retry) and sha256:aa once", calls)
+	}
+
+	// A producer's error fails the append and, like a failed write,
+	// leaves the hash unrecorded.
+	bad := func() ([]byte, error) { calls["sha256:cc"]++; return nil, errors.New("no body") }
+	if err := j.AppendNetlist("sha256:cc", "", bad, 5); err == nil {
+		t.Fatal("append with a failing body producer succeeded")
+	}
+	if err := j.AppendNetlist("sha256:cc", "", body("sha256:cc"), 6); err != nil {
+		t.Fatal(err)
+	}
+	if calls["sha256:cc"] != 2 {
+		t.Fatalf("sha256:cc body built %d times, want 2", calls["sha256:cc"])
 	}
 }
 

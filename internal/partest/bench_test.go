@@ -3,13 +3,16 @@ package partest
 import (
 	"context"
 	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/eigen"
 	"repro/internal/graph"
 	"repro/internal/melo"
 	"repro/internal/parallel"
 	"repro/internal/resilience"
+	"repro/internal/trace"
 )
 
 // benchGraph synthesizes a large netlist-derived Laplacian once per
@@ -54,8 +57,8 @@ func BenchmarkMatVecWorkers(b *testing.B) {
 	}
 }
 
-func benchLanczos(b *testing.B, workers int) {
-	g := benchGraph(b, 4000)
+func benchLanczos(b *testing.B, n, workers int) {
+	g := benchGraph(b, n)
 	q := g.Laplacian()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -65,26 +68,122 @@ func benchLanczos(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkLanczosSerial(b *testing.B)   { benchLanczos(b, 1) }
-func BenchmarkLanczosParallel(b *testing.B) { benchLanczos(b, parallel.Limit()) }
+func BenchmarkLanczosSerial(b *testing.B)   { benchLanczos(b, 4000, 1) }
+func BenchmarkLanczosParallel(b *testing.B) { benchLanczos(b, 4000, parallel.Limit()) }
 
-func benchMELO(b *testing.B, workers int) {
+// n = 20000 sits above the 4096-row MatVec shard cutoff, so unlike the
+// n = 4000 pair the parallel case really shards the solve's MatVecs.
+func BenchmarkLanczosSerialN20000(b *testing.B)   { benchLanczos(b, 20000, 1) }
+func BenchmarkLanczosParallelN20000(b *testing.B) { benchLanczos(b, 20000, parallel.Limit()) }
+
+// meloFixture returns the n = 2000 graph and its 9-pair spectrum the
+// MELO benchmarks order.
+func meloFixture(b *testing.B) (*graph.Graph, *eigen.Decomposition) {
 	g := benchGraph(b, 2000)
 	sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), 9, resilience.EigenPolicy{MinD: 9})
 	if err != nil {
 		b.Fatal(err)
 	}
-	dec := sol.Dec
+	return g, sol.Dec
+}
+
+func meloOrder(b *testing.B, g *graph.Graph, dec *eigen.Decomposition, workers int) {
 	opts := melo.NewOptions()
 	opts.D = 8
 	opts.Workers = workers
+	if _, err := melo.Order(g, dec, opts); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func benchMELO(b *testing.B, workers int) {
+	g, dec := meloFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := melo.Order(g, dec, opts); err != nil {
-			b.Fatal(err)
-		}
+		meloOrder(b, g, dec, workers)
 	}
 }
 
 func BenchmarkMELOSerial(b *testing.B)   { benchMELO(b, 1) }
 func BenchmarkMELOParallel(b *testing.B) { benchMELO(b, parallel.Limit()) }
+
+// traceOverheadBound is the largest time ratio BenchmarkTraceOverhead
+// accepts between a kernel run under a disabled global tracer and the
+// same kernel with no tracer at all.
+const traceOverheadBound = 1.15
+
+// traceOverheadReps is how many untraced/traced timing pairs each kernel
+// gets.
+const traceOverheadReps = 11
+
+// BenchmarkTraceOverhead checks the tracer's no-op guarantee: in one
+// process it times MatVec (n = 20000), Lanczos (n = 4000) and MELO
+// (n = 2000) with no tracer and with a disabled global tracer, and
+// fails when a kernel's ratio exceeds traceOverheadBound. Both timings
+// come from the same process, so the ratio does not depend on the
+// machine. The ratio is the median over traceOverheadReps back-to-back
+// pairs, the side that runs first alternating: on a shared VM single
+// Lanczos solves vary by ±25%, and a best-of-N ratio flapped between
+// 0.81 and 1.38 on an unchanged tree. Run it with
+//
+//	go test -run '^$' -bench TraceOverhead -benchtime 1x ./internal/partest/
+func BenchmarkTraceOverhead(b *testing.B) {
+	big := benchGraph(b, 20000)
+	q := big.Laplacian()
+	x := make([]float64, big.N())
+	for i := range x {
+		x[i] = float64(i%13) * 0.3
+	}
+	y := make([]float64, big.N())
+	qm := benchGraph(b, 4000).Laplacian()
+	g, dec := meloFixture(b)
+	workers := parallel.Limit()
+	kernels := []struct {
+		name string
+		fn   func()
+	}{
+		{"matvec", func() { q.MatVecPar(x, y, workers) }},
+		{"lanczos", func() {
+			if _, err := eigen.Lanczos(qm, 8, &eigen.LanczosOptions{Workers: workers}); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"melo", func() { meloOrder(b, g, dec, workers) }},
+	}
+
+	prev := trace.Global()
+	defer trace.SetGlobal(prev)
+	off := trace.New()
+	off.SetEnabled(false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range kernels {
+			k.fn() // warm-up
+			ratios := make([]float64, traceOverheadReps)
+			for r := range ratios {
+				var base, traced time.Duration
+				if r%2 == 0 {
+					base, traced = timedWith(nil, k.fn), timedWith(off, k.fn)
+				} else {
+					traced, base = timedWith(off, k.fn), timedWith(nil, k.fn)
+				}
+				ratios[r] = traced.Seconds() / base.Seconds()
+			}
+			sort.Float64s(ratios)
+			ratio := ratios[len(ratios)/2]
+			b.ReportMetric(ratio, k.name+"-ratio")
+			if ratio > traceOverheadBound {
+				b.Fatalf("%s: disabled tracer / no tracer median ratio %.3f exceeds %.2f (ratios %.3f)",
+					k.name, ratio, traceOverheadBound, ratios)
+			}
+		}
+	}
+}
+
+// timedWith times one call of fn with t installed as the global tracer.
+func timedWith(t *trace.Tracer, fn func()) time.Duration {
+	trace.SetGlobal(t)
+	t0 := time.Now()
+	fn()
+	return time.Since(t0)
+}

@@ -28,21 +28,6 @@ func F(g *graph.Graph, p *Partition) float64 {
 	return 2 * CutWeight(g, p)
 }
 
-// ClusterCutDegrees returns E_h for each cluster h: the total weight of
-// edges with exactly one endpoint in C_h.
-func ClusterCutDegrees(g *graph.Graph, p *Partition) []float64 {
-	e := make([]float64, p.K)
-	for u := 0; u < g.N(); u++ {
-		for _, h := range g.Adj(u) {
-			if u < h.To && p.Assign[u] != p.Assign[h.To] {
-				e[p.Assign[u]] += h.W
-				e[p.Assign[h.To]] += h.W
-			}
-		}
-	}
-	return e
-}
-
 // NetCut returns the number of hyperedges (nets) that span more than one
 // cluster — the standard VLSI min-cut objective.
 func NetCut(h *hypergraph.Hypergraph, p *Partition) int {

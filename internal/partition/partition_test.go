@@ -111,10 +111,6 @@ func TestCutWeightAndF(t *testing.T) {
 	if got := F(g, p); got != 2 {
 		t.Errorf("F = %v, want 2", got)
 	}
-	e := ClusterCutDegrees(g, p)
-	if e[0] != 1 || e[1] != 1 {
-		t.Errorf("ClusterCutDegrees = %v", e)
-	}
 }
 
 func TestFMatchesTraceFormula(t *testing.T) {

@@ -122,30 +122,6 @@ func TestQuickNetCutBounds(t *testing.T) {
 	}
 }
 
-// TestQuickClusterCutDegreeIdentity: Σ_h E_h = 2·CutWeight = F for graph
-// metrics.
-func TestQuickClusterCutDegreeIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(16)
-		g := graph.RandomConnected(n, 2*n, seed)
-		k := 2 + rng.Intn(3)
-		assign := make([]int, n)
-		for i := range assign {
-			assign[i] = rng.Intn(k)
-		}
-		p := MustNew(assign, k)
-		var sum float64
-		for _, e := range ClusterCutDegrees(g, p) {
-			sum += e
-		}
-		return math.Abs(sum-F(g, p)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickFromOrderSplitInverse: splitting an ordering and reading the
 // clusters back off the partition reproduces contiguous blocks.
 func TestQuickFromOrderSplitInverse(t *testing.T) {

@@ -228,12 +228,17 @@ func (s *Server) handlePostNetlist(w http.ResponseWriter, r *http.Request) {
 	// that cannot be journaled — whether serialization or the append
 	// failed — must not be acknowledged as durable.
 	if jnl := s.pool.Journal(); jnl != nil {
-		var buf bytes.Buffer
-		if err := spectral.SaveNetlist(&buf, name, h); err != nil {
-			writeError(w, http.StatusInternalServerError, "journal netlist: %v", err)
+		var saveErr error
+		err := jnl.AppendNetlist(st.Hash, name, func() ([]byte, error) {
+			var buf bytes.Buffer
+			saveErr = spectral.SaveNetlist(&buf, name, h)
+			return buf.Bytes(), saveErr
+		}, time.Now().UnixNano())
+		if saveErr != nil {
+			writeError(w, http.StatusInternalServerError, "journal netlist: %v", saveErr)
 			return
 		}
-		if err := jnl.AppendNetlist(st.Hash, name, buf.Bytes(), time.Now().UnixNano()); err != nil {
+		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, "journal unavailable: %v", err)
 			return
 		}
