@@ -269,9 +269,8 @@ func Apply(base *hypergraph.Hypergraph, d *Delta) (*hypergraph.Hypergraph, Reach
 	nets = append(nets, added...)
 	netNames = append(netNames, addedNames...)
 
-	names := make([]string, n)
-	copy(names, base.Names)
-	h, err := hypergraph.FromParts(names, nets, netNames)
+	// Module names never change: share them with the immutable base.
+	h, err := hypergraph.FromParts(base.Names, nets, netNames)
 	if err != nil {
 		return nil, Reach{}, fmt.Errorf("delta: assembling result: %w", err)
 	}

@@ -22,8 +22,9 @@ type CGOptions struct {
 // starting guess (may be nil for zero). It returns the solution and the
 // number of iterations performed.
 //
-// The analytical-placement baseline solves anchored Laplacian systems
-// (Laplacian plus a positive diagonal), which are SPD, with this routine.
+// PARABOLI's quadratic placement (internal/paraboli) solves anchored
+// Laplacian systems (Laplacian plus a positive diagonal), which are SPD,
+// with this routine.
 // ctx is checked at every iteration boundary; a cancelled context aborts
 // the solve within one iteration, returning ctx.Err().
 func CGCtx(ctx context.Context, a linalg.Operator, b, x0 []float64, diag []float64, opts *CGOptions) ([]float64, int, error) {

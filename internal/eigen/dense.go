@@ -79,11 +79,23 @@ func SymEigCtx(ctx context.Context, a *linalg.Dense) (*Decomposition, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	transposeSquare(z) // tql2 holds the eigenvectors as rows
 	if err := tql2(d, e, z); err != nil {
 		return nil, err
 	}
-	sortEigenAscending(d, z)
+	sortEigenAscending(d, z.Data)
+	transposeSquare(z)
 	return &Decomposition{Values: d, Vectors: z}, nil
+}
+
+// transposeSquare transposes the square matrix m in place.
+func transposeSquare(m *linalg.Dense) {
+	n := m.Rows
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Data[i*n+j], m.Data[j*n+i] = m.Data[j*n+i], m.Data[i*n+j]
+		}
+	}
 }
 
 // Residual returns the largest residual ‖A·u_j − λ_j·u_j‖₂ over the

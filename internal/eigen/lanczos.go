@@ -290,7 +290,10 @@ func LanczosCtx(ctx context.Context, a linalg.Operator, d int, opts *LanczosOpti
 		j := len(basis)
 		invariant := beta <= 1e-12*scale
 		if j >= d && (j%checkEvery == 0 || j == o.MaxDim || j == n || (invariant && j+1 >= n)) {
-			vals, svecs, err := ws.eig(alphas, betas[:j-1])
+			// The check needs only the Ritz values and the last row of
+			// the tridiagonal's eigenvectors (O(j²)); the full
+			// eigenvectors are built once, for the pairs returned.
+			vals, last, err := ws.lastRow(alphas, betas[:j-1])
 			if err != nil {
 				return nil, err
 			}
@@ -299,13 +302,13 @@ func LanczosCtx(ctx context.Context, a linalg.Operator, d int, opts *LanczosOpti
 			}
 			// When the basis spans the whole space the Ritz pairs are
 			// exact; otherwise require the residual estimates to pass.
-			if !directive.Stall && (j == n || convergedSmallest(vals, svecs, beta, d, o.Tol*scale)) {
+			if !directive.Stall && (j == n || convergedPrefix(last, beta, d, o.Tol*scale) == d) {
 				// An exactly invariant proper subspace can hide extra
 				// copies of degenerate eigenvalues (single-vector Lanczos
 				// sees one vector per eigenspace); force a restart sweep
 				// before accepting in that case.
 				if !invariant || j == n {
-					return ritzPairs(basis, vals, svecs, d, ar), nil
+					return ritzPairs(&ws, basis, alphas, betas[:j-1], d, ar)
 				}
 			}
 			if j == o.MaxDim {
@@ -320,8 +323,12 @@ func LanczosCtx(ctx context.Context, a linalg.Operator, d int, opts *LanczosOpti
 				if limit > d {
 					limit = d
 				}
-				if m := convergedPrefix(vals, svecs, beta, limit, o.Tol*scale); m >= 1 {
-					return ritzPairs(basis, vals, svecs, m, ar), ErrNoConvergence
+				if m := convergedPrefix(last, beta, limit, o.Tol*scale); m >= 1 {
+					dec, err := ritzPairs(&ws, basis, alphas, betas[:j-1], m, ar)
+					if err != nil {
+						return nil, err
+					}
+					return dec, ErrNoConvergence
 				}
 				return nil, ErrNoConvergence
 			}
@@ -418,48 +425,47 @@ func omegaStep(dst []float64, omCur, omPrev []float64, alphas, betas []float64, 
 	return append(dst, 1)
 }
 
-// convergedSmallest reports whether the d smallest Ritz pairs of the
-// current tridiagonal matrix have residual estimates |beta·s_last| below
-// tol. vals/svecs come from tridiagWS.eig (sorted ascending).
-func convergedSmallest(vals []float64, svecs *linalg.Dense, beta float64, d int, tol float64) bool {
-	return convergedPrefix(vals, svecs, beta, d, tol) >= d
-}
-
 // convergedPrefix returns the length of the longest prefix (at most
-// limit) of the smallest Ritz pairs whose residual estimates pass tol.
-func convergedPrefix(vals []float64, svecs *linalg.Dense, beta float64, limit int, tol float64) int {
-	m := len(vals)
-	if limit > m {
-		limit = m
+// limit) of the smallest Ritz pairs whose residual estimates
+// |beta·s_{j,i}| pass tol; last holds the last components s_{j,i} of
+// the tridiagonal's eigenvectors in ascending Ritz-value order (see
+// tridiagWS.lastRow).
+func convergedPrefix(last []float64, beta float64, limit int, tol float64) int {
+	if limit > len(last) {
+		limit = len(last)
 	}
 	for i := 0; i < limit; i++ {
-		if math.Abs(beta*svecs.At(m-1, i)) > tol {
+		if math.Abs(beta*last[i]) > tol {
 			return i
 		}
 	}
 	return limit
 }
 
-// ritzPairs assembles the d smallest Ritz pairs from the Lanczos basis and
-// the tridiagonal eigendecomposition. The result is freshly allocated —
-// nothing aliases the basis, the workspace, or the arena.
-func ritzPairs(basis [][]float64, vals []float64, svecs *linalg.Dense, d int, ar *linalg.Arena) *Decomposition {
+// ritzPairs runs the full tridiagonal eigendecomposition of T =
+// tridiag(betas, alphas, betas) once and assembles the d smallest Ritz
+// pairs from it and the Lanczos basis. The result is freshly allocated
+// — nothing aliases the basis, the workspace, or the arena.
+func ritzPairs(ws *tridiagWS, basis [][]float64, alphas, betas []float64, d int, ar *linalg.Arena) (*Decomposition, error) {
+	vals, svecs, err := ws.eig(alphas, betas)
+	if err != nil {
+		return nil, err
+	}
 	n := len(basis[0])
-	m := len(basis)
 	u := linalg.NewDense(n, d)
 	col := ar.Vec()
 	for j := 0; j < d; j++ {
 		linalg.Zero(col)
-		for k := 0; k < m; k++ {
-			linalg.Axpy(svecs.At(k, j), basis[k], col)
+		for k, s := range svecs.Row(j) {
+			linalg.Axpy(s, basis[k], col)
 		}
 		linalg.Normalize(col)
-		for i := 0; i < n; i++ {
-			u.Set(i, j, col[i])
+		for i, x := range col {
+			u.Data[i*d+j] = x
 		}
 	}
 	ar.Free(col)
-	return &Decomposition{Values: linalg.CopyVec(vals[:d]), Vectors: u}
+	return &Decomposition{Values: linalg.CopyVec(vals[:d]), Vectors: u}, nil
 }
 
 // seedUnitInto copies the caller-provided starting direction into v and

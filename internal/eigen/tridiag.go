@@ -6,13 +6,16 @@
 //     pair), which returns the full spectrum and is used for small graphs
 //     and for validating the sparse path, and
 //
-//   - a Lanczos solver with full reorthogonalization that computes the
-//     smallest d eigenpairs of a large sparse symmetric operator. This is
-//     the stdlib-only substitute for the LASO2 library the paper used.
+//   - a Lanczos solver with selective reorthogonalization that computes
+//     the smallest d eigenpairs of a large sparse symmetric operator. This
+//     is the stdlib-only substitute for the LASO2 library the paper used.
+//     Its convergence checks read the Ritz values and the last row of the
+//     tridiagonal's eigenvectors (O(j²) at Krylov size j); the full
+//     eigenvectors (O(j³)) are computed once per solve.
 //
 // The package also provides a Jacobi-preconditioned conjugate-gradient
-// solver for symmetric positive-definite systems, used by the analytical
-// placement baseline.
+// solver for symmetric positive-definite systems, used by PARABOLI's
+// quadratic placement (internal/paraboli).
 package eigen
 
 import (
@@ -111,16 +114,38 @@ func tred2(z *linalg.Dense, d, e []float64) {
 
 // tql2 computes the eigenvalues and eigenvectors of a symmetric
 // tridiagonal matrix with diagonal d and subdiagonal e (e[0] unused) by
-// the implicit-shift QL method. On entry z holds the transformation from
-// tred2 (or the identity); on return d holds the eigenvalues (unsorted)
-// and the columns of z the corresponding eigenvectors.
+// the implicit-shift QL method. The eigenvector matrix z is held
+// transposed, so every rotation updates two contiguous rows: on entry
+// row i of zt holds column i of tred2's transformation (the identity
+// for a bare tridiagonal); on return d holds the eigenvalues (unsorted)
+// and row i of zt the eigenvector for d[i].
 //
 // This is a direct port of the EISPACK tql2 routine.
-func tql2(d, e []float64, z *linalg.Dense) error {
+func tql2(d, e []float64, zt *linalg.Dense) error {
+	return implicitQL(d, e, zt.Data)
+}
+
+// tql2Row is tql2 accumulating a single row of the eigenvector matrix:
+// on entry zr[i] holds element i of one row of the starting
+// transformation (e_{n−1}ᵀ for the last row of a bare tridiagonal's
+// eigenvectors), on return zr[i] is that row's component of the
+// eigenvector for d[i]. It costs O(n²) instead of O(n³). The values in
+// d and zr are bit-identical to a full tql2's: the d/e recurrence never
+// reads z, and each row of z is rotated independently of the others.
+func tql2Row(d, e, zr []float64) error {
+	return implicitQL(d, e, zr)
+}
+
+// implicitQL is the shared body of tql2 and tql2Row. zt is the
+// transposed eigenvector matrix: len(d) rows of any common width (n
+// for tql2, 1 for tql2Row); each Givens rotation of the QL sweep
+// combines two of its rows.
+func implicitQL(d, e, zt []float64) error {
 	n := len(d)
 	if n == 1 {
 		return nil
 	}
+	w := len(zt) / n
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -168,10 +193,10 @@ func tql2(d, e []float64, z *linalg.Dense) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				zi, zn := zt[i*w:(i+1)*w], zt[(i+1)*w:(i+2)*w]
+				for k, f := range zn {
+					zn[k] = s*zi[k] + c*f
+					zi[k] = c*zi[k] - s*f
 				}
 			}
 			if brokeEarly {
@@ -189,25 +214,24 @@ func tql2(d, e []float64, z *linalg.Dense) error {
 const unitRoundoff = 1e-15
 
 // tridiagWS is a reusable workspace for the tridiagonal
-// eigendecompositions the Lanczos convergence checks run every
-// checkEvery steps. It exists so the Lanczos iteration loop performs no
-// per-check allocations once the workspace has grown to the Krylov
-// budget: the returned slices and matrix ALIAS the workspace and are
-// valid only until the next eig call — callers must copy anything that
-// outlives the check (ritzPairs copies into fresh result storage).
+// eigendecompositions of the Lanczos iteration. Convergence checks,
+// every checkEvery steps, run lastRow: Ritz values and the last row of
+// the eigenvector matrix, O(j²), with no allocation once the workspace
+// has grown to the Krylov budget. The full eigenvector matrix, O(j³),
+// is built by eig only for the Ritz vectors a solve returns. The
+// returned slices ALIAS the workspace and are valid only until the
+// next call — callers must copy anything that outlives it (ritzPairs
+// copies into fresh result storage).
 type tridiagWS struct {
-	d, e []float64
-	zbuf []float64
-	z    linalg.Dense
+	d, e, row []float64
 }
 
-// eig computes all eigenvalues and eigenvectors of the symmetric
-// tridiagonal matrix with diagonal diag and subdiagonal sub
-// (len(sub) == len(diag)-1) into the reused workspace, sorted ascending.
-func (ws *tridiagWS) eig(diag, sub []float64) (vals []float64, vecs *linalg.Dense, err error) {
+// load copies the tridiagonal with diagonal diag and subdiagonal sub
+// (len(sub) == len(diag)-1) into the workspace's d and e.
+func (ws *tridiagWS) load(diag, sub []float64) error {
 	n := len(diag)
 	if len(sub) != n-1 && !(n == 0 && len(sub) == 0) {
-		return nil, nil, errors.New("eigen: subdiagonal must have length n-1")
+		return errors.New("eigen: subdiagonal must have length n-1")
 	}
 	// Grow geometrically: successive convergence checks arrive with n
 	// increasing by checkEvery, and per-check reallocation would defeat
@@ -215,31 +239,61 @@ func (ws *tridiagWS) eig(diag, sub []float64) (vals []float64, vecs *linalg.Dens
 	if cap(ws.d) < n {
 		ws.d = make([]float64, 0, 2*n)
 		ws.e = make([]float64, 0, 2*n)
+		ws.row = make([]float64, 0, 2*n)
 	}
 	ws.d = ws.d[:n]
 	ws.e = ws.e[:n]
 	copy(ws.d, diag)
-	ws.e[0] = 0
-	copy(ws.e[1:], sub)
-	if cap(ws.zbuf) < n*n {
-		ws.zbuf = make([]float64, 4*n*n)
+	if n > 0 {
+		ws.e[0] = 0
+		copy(ws.e[1:], sub)
 	}
-	ws.z = linalg.Dense{Rows: n, Cols: n, Data: ws.zbuf[:n*n]}
-	linalg.Zero(ws.z.Data)
-	for i := 0; i < n; i++ {
-		ws.z.Set(i, i, 1)
-	}
-	if err := tql2(ws.d, ws.e, &ws.z); err != nil {
+	return nil
+}
+
+// lastRow computes the eigenvalues of the tridiagonal, sorted
+// ascending, and the last component of each matching eigenvector —
+// exactly vals and the last row of what eig returns, at O(n²).
+func (ws *tridiagWS) lastRow(diag, sub []float64) (vals, last []float64, err error) {
+	if err := ws.load(diag, sub); err != nil {
 		return nil, nil, err
 	}
-	sortEigenAscending(ws.d, &ws.z)
-	return ws.d, &ws.z, nil
+	n := len(diag)
+	ws.row = ws.row[:n]
+	linalg.Zero(ws.row)
+	ws.row[n-1] = 1
+	if err := tql2Row(ws.d, ws.e, ws.row); err != nil {
+		return nil, nil, err
+	}
+	sortEigenAscending(ws.d, ws.row)
+	return ws.d, ws.row, nil
+}
+
+// eig computes all eigenvalues of the tridiagonal, sorted ascending,
+// and the matching eigenvectors as the rows of vecs. The eigenvector
+// matrix is freshly allocated, sized exactly: a Lanczos solve calls eig
+// once, at the step it returns from.
+func (ws *tridiagWS) eig(diag, sub []float64) (vals []float64, vecs *linalg.Dense, err error) {
+	if err := ws.load(diag, sub); err != nil {
+		return nil, nil, err
+	}
+	n := len(diag)
+	zt := linalg.NewDense(n, n)
+	for i := 0; i < n; i++ {
+		zt.Data[i*n+i] = 1
+	}
+	if err := tql2(ws.d, ws.e, zt); err != nil {
+		return nil, nil, err
+	}
+	sortEigenAscending(ws.d, zt.Data)
+	return ws.d, zt, nil
 }
 
 // sortEigenAscending sorts eigenvalues in d ascending and permutes the
-// columns of z accordingly (selection sort; n is small relative to the
-// O(n^3) work already done).
-func sortEigenAscending(d []float64, z *linalg.Dense) {
+// rows of the transposed eigenvector matrix zt (len(d) rows of any
+// common width, as for implicitQL) accordingly (selection sort; n is
+// small relative to the QL work already done).
+func sortEigenAscending(d, zt []float64) {
 	n := len(d)
 	for i := 0; i < n-1; i++ {
 		k := i
@@ -250,12 +304,10 @@ func sortEigenAscending(d []float64, z *linalg.Dense) {
 		}
 		if k != i {
 			d[i], d[k] = d[k], d[i]
-			if z != nil {
-				for r := 0; r < n; r++ {
-					vi, vk := z.At(r, i), z.At(r, k)
-					z.Set(r, i, vk)
-					z.Set(r, k, vi)
-				}
+			w := len(zt) / n
+			zi, zk := zt[i*w:(i+1)*w], zt[k*w:(k+1)*w]
+			for r := range zi {
+				zi[r], zk[r] = zk[r], zi[r]
 			}
 		}
 	}

@@ -24,8 +24,9 @@ type Hypergraph struct {
 	// NetNames holds one name per net (parallel to Nets).
 	NetNames []string
 
-	// pins[i] lists the nets incident to module i (sorted).
-	pins [][]int
+	// pinNets[pinOff[i]:pinOff[i+1]] lists the nets incident to module
+	// i (sorted): one flat array plus n+1 offsets, not n slice headers.
+	pinOff, pinNets []int
 	// areas holds per-module areas; nil means unit areas (see areas.go).
 	areas []float64
 
@@ -72,11 +73,14 @@ func (h *Hypergraph) NumPins() int {
 }
 
 // Degree returns the number of nets incident to module i.
-func (h *Hypergraph) Degree(i int) int { return len(h.pins[i]) }
+func (h *Hypergraph) Degree(i int) int { return h.pinOff[i+1] - h.pinOff[i] }
 
 // NetsOf returns the nets incident to module i. The returned slice must
 // not be modified.
-func (h *Hypergraph) NetsOf(i int) []int { return h.pins[i] }
+func (h *Hypergraph) NetsOf(i int) []int {
+	lo, hi := h.pinOff[i], h.pinOff[i+1]
+	return h.pinNets[lo:hi:hi]
+}
 
 // MaxNetSize returns the number of modules on the largest net (0 for an
 // empty hypergraph).
@@ -192,28 +196,26 @@ func FromParts(names []string, nets [][]int, netNames []string) (*Hypergraph, er
 
 func (h *Hypergraph) buildPins() {
 	n := len(h.Names)
-	counts := make([]int, n)
-	total := 0
+	off := make([]int, n+1)
 	for _, net := range h.Nets {
-		total += len(net)
 		for _, m := range net {
-			counts[m]++
+			off[m+1]++
 		}
 	}
-	// One backing array for every incidence list; appending nets in
-	// index order leaves each list sorted, as NetsOf documents.
-	flat := make([]int, total)
-	h.pins = make([][]int, n)
-	off := 0
 	for m := 0; m < n; m++ {
-		h.pins[m] = flat[off : off : off+counts[m]]
-		off += counts[m]
+		off[m+1] += off[m]
 	}
+	// Filling nets in index order leaves each list sorted, as NetsOf
+	// documents; next[m] is module m's fill position.
+	flat := make([]int, off[n])
+	next := append([]int(nil), off[:n]...)
 	for e, net := range h.Nets {
 		for _, m := range net {
-			h.pins[m] = append(h.pins[m], e)
+			flat[next[m]] = e
+			next[m]++
 		}
 	}
+	h.pinOff, h.pinNets = off, flat
 }
 
 // IsConnected reports whether the hypergraph is connected (every module
@@ -254,7 +256,7 @@ func (h *Hypergraph) componentOf(start int) []int {
 	for len(queue) > 0 {
 		m := queue[0]
 		queue = queue[1:]
-		for _, e := range h.pins[m] {
+		for _, e := range h.NetsOf(m) {
 			if netSeen[e] {
 				continue
 			}

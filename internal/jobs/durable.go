@@ -112,21 +112,23 @@ func (p *Pool) noteJournalError() {
 }
 
 // journalSubmit durably records an accepted job (and, first, its
-// netlist body so replay can rebuild the request). A failure here means
+// netlist body so replay can rebuild the request). req is the request
+// the job was published with: a worker may already have finished the
+// job, which clears the job's own netlist fields. A failure here means
 // the job must not be acknowledged to the client.
-func (p *Pool) journalSubmit(j *Job) error {
+func (p *Pool) journalSubmit(j *Job, req Request) error {
 	if p.jnl == nil {
 		return nil
 	}
-	if err := p.jnl.AppendNetlist(j.req.Hash, "", netlistBody(j.req.Netlist), j.created.UnixNano()); err != nil {
+	if err := p.jnl.AppendNetlist(req.Hash, "", netlistBody(req.Netlist), j.created.UnixNano()); err != nil {
 		p.noteJournalError()
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
-	if j.req.BaseNetlist != nil {
+	if req.BaseNetlist != nil {
 		// A delta job's base body must survive too: replay re-partitions
 		// the base for the stability report, and can rebuild the mutated
 		// netlist from base+delta if the mutated record is damaged.
-		if err := p.jnl.AppendNetlist(j.req.BaseHash, "", netlistBody(j.req.BaseNetlist), j.created.UnixNano()); err != nil {
+		if err := p.jnl.AppendNetlist(req.BaseHash, "", netlistBody(req.BaseNetlist), j.created.UnixNano()); err != nil {
 			p.noteJournalError()
 			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
@@ -134,8 +136,8 @@ func (p *Pool) journalSubmit(j *Job) error {
 	if err := p.jnl.AppendDurable(journal.Record{
 		Type:   journal.TypeSubmit,
 		ID:     j.id,
-		Hash:   j.req.Hash,
-		Spec:   specOf(j.req, j.shedFromD),
+		Hash:   req.Hash,
+		Spec:   specOf(req, j.shedFromD),
 		UnixNS: j.created.UnixNano(),
 	}); err != nil {
 		p.noteJournalError()
@@ -176,7 +178,12 @@ func (p *Pool) journalFinish(j *Job, st State, res *Result, err error) {
 	if p.jnl == nil {
 		return
 	}
-	if aerr := p.jnl.AppendDurable(finishRecord(j.id, st, res, err, time.Now().UnixNano())); aerr != nil {
+	// The job's own finish time, so replay restores the same Finished
+	// whether it reads this record or a compaction's copy of it.
+	j.mu.Lock()
+	fin := j.finished
+	j.mu.Unlock()
+	if aerr := p.jnl.AppendDurable(finishRecord(j.id, st, res, err, fin.UnixNano())); aerr != nil {
 		p.noteJournalError()
 		return
 	}
@@ -398,6 +405,10 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, map[string]Rest
 			backlog = append(backlog, j)
 			stats.Reenqueued++
 		}
+		if isTerminal(j.state) {
+			// Served from its finish record: pin no netlist.
+			j.req.Netlist, j.req.BaseNetlist = nil, nil
+		}
 		p.jobs[j.id] = j
 		p.order = append(p.order, j.id)
 	}
@@ -566,12 +577,13 @@ func (p *Pool) CompactJournal() error {
 }
 
 // snapshotRecords builds the compaction snapshot: every stored netlist,
-// one submit per tracked job, and a finish for each terminal one. The
-// journal calls it from CompactWith with appends gated; every journal
-// write happens after the state it records is published (jobs enter
-// p.jobs before journalSubmit, terminal states are set before
-// journalFinish), so an append that completed before the gate closed is
-// always visible here.
+// one submit per tracked job, and a finish for each terminal one. Only
+// pending and running jobs still hold netlists (finish drops them); a
+// terminal job replays from its finish record alone. The journal calls
+// it from CompactWith with appends gated; every journal write happens
+// after the state it records is published (jobs enter p.jobs before
+// journalSubmit, terminal states are set before journalFinish), so an
+// append that completed before the gate closed is always visible here.
 func (p *Pool) snapshotRecords() []journal.Record {
 	var recs []journal.Record
 	seenNet := make(map[string]bool)
@@ -597,6 +609,23 @@ func (p *Pool) snapshotRecords() []journal.Record {
 	}
 	p.mu.Unlock()
 
+	// One consistent view per job: finish clears the netlists and sets
+	// the terminal state under j.mu.
+	type jobView struct {
+		j     *Job
+		req   Request
+		state State
+		err   error
+		res   *Result
+		fin   time.Time
+	}
+	views := make([]jobView, len(jobs))
+	for i, j := range jobs {
+		j.mu.Lock()
+		views[i] = jobView{j, j.req, j.state, j.err, j.result, j.finished}
+		j.mu.Unlock()
+	}
+
 	addNet := func(hash string, h *spectral.Netlist) {
 		if h == nil || seenNet[hash] {
 			return
@@ -609,20 +638,17 @@ func (p *Pool) snapshotRecords() []journal.Record {
 			})
 		}
 	}
-	for _, j := range jobs {
-		addNet(j.req.Hash, j.req.Netlist)
-		addNet(j.req.BaseHash, j.req.BaseNetlist)
+	for _, v := range views {
+		addNet(v.req.Hash, v.req.Netlist)
+		addNet(v.req.BaseHash, v.req.BaseNetlist)
 	}
-	for _, j := range jobs {
+	for _, v := range views {
 		recs = append(recs, journal.Record{
-			Type: journal.TypeSubmit, ID: j.id, Hash: j.req.Hash,
-			Spec: specOf(j.req, j.shedFromD), UnixNS: j.created.UnixNano(),
+			Type: journal.TypeSubmit, ID: v.j.id, Hash: v.req.Hash,
+			Spec: specOf(v.req, v.j.shedFromD), UnixNS: v.j.created.UnixNano(),
 		})
-		j.mu.Lock()
-		st, jerr, res, fin := j.state, j.err, j.result, j.finished
-		j.mu.Unlock()
-		if isTerminal(st) {
-			recs = append(recs, finishRecord(j.id, st, res, jerr, fin.UnixNano()))
+		if isTerminal(v.state) {
+			recs = append(recs, finishRecord(v.j.id, v.state, v.res, v.err, v.fin.UnixNano()))
 		}
 	}
 	return recs

@@ -167,7 +167,10 @@ type Status struct {
 // Job is one tracked unit of work. All methods are safe for concurrent
 // use.
 type Job struct {
-	id     string
+	id string
+	// req is immutable once the job is published, except that finish
+	// clears its Netlist and BaseNetlist under mu: read those fields
+	// under mu wherever a finish may run concurrently.
 	req    Request
 	ctx    context.Context
 	cancel func()
@@ -273,9 +276,12 @@ func (j *Job) markStarted(now time.Time) {
 	j.queueDur = now.Sub(j.created)
 }
 
-// finish transitions to the terminal state for (result, err).
+// finish transitions to the terminal state for (result, err) and drops
+// the job's netlists: a finished job is served, and journaled, from its
+// result alone, so keeping them would pin up to MaxJobs netlists.
 func (j *Job) finish(res *Result, err error, cancelled bool, now time.Time) State {
 	j.mu.Lock()
+	j.req.Netlist, j.req.BaseNetlist = nil, nil
 	switch {
 	case err == nil:
 		j.state, j.result = Done, res

@@ -363,7 +363,7 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	// makes whichever worker dequeues it retire it immediately, and
 	// removing it from the maps keeps a job the client was told failed
 	// out of the jobs API and out of compaction snapshots.
-	if err := p.journalSubmit(j); err != nil {
+	if err := p.journalSubmit(j, req); err != nil {
 		j.cancel()
 		p.mu.Lock()
 		delete(p.jobs, j.id)

@@ -5,10 +5,11 @@ Run from the root of a checkout, naming the branch the change goes into:
 
     python3 scripts/benchpair.py origin/main
 
-The script checks the merge base of HEAD and that ref out into a
-temporary git worktree (the parent) and benchmarks it against the
-checkout it runs in (the change, uncommitted edits included). For each
-of WORKLOADS it runs PAIRS pairs of
+The script checks HEAD (the change) and the merge base of HEAD and that
+ref (the parent) out into two sibling git worktrees under one temporary
+directory, so both sides build and run from the same kind of tree on
+the same filesystem; uncommitted edits are not benchmarked. For each of
+WORKLOADS it runs PAIRS pairs of
 
     bash perfbench/run.sh --workload <w> --seed <pair> --seconds SECONDS --trace 0
 
@@ -22,6 +23,8 @@ ones, so slow drift of the host hits both sides alike. It exits 1 when
 
 The metrics, their direction and their bounds are read from the
 change's BENCHMARK.json, so this gate and the benchmark apply one rule.
+Naming HEAD itself as the ref runs the parent against an identical
+copy, which measures the harness's own side bias.
 """
 import json
 import os
@@ -74,26 +77,28 @@ def worse(metric, parent, change):
 def main():
     if len(sys.argv) != 2:
         sys.exit("usage: python3 scripts/benchpair.py <base-ref>")
-    change = git("rev-parse", "--show-toplevel")
-    base = git("merge-base", "HEAD", sys.argv[1], cwd=change)
-    with open(os.path.join(change, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+    repo = git("rev-parse", "--show-toplevel")
+    head = git("rev-parse", "HEAD", cwd=repo)
+    base = git("merge-base", "HEAD", sys.argv[1], cwd=repo)
 
-    # A cancelled run still removes its worktree (finally runs on exit).
+    # A cancelled run still removes its worktrees (finally runs on exit).
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = tempfile.mkdtemp(prefix="benchpair-")
-    parent = os.path.join(tmp, "parent")
-    git("worktree", "add", "--detach", parent, base, cwd=change)
-    print(f"parent {base[:12]} vs change {change}: {PAIRS} pairs of "
-          f"{SECONDS}s runs per workload", flush=True)
+    trees = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
     problems = []
     try:
+        for side, rev in (("parent", base), ("change", head)):
+            git("worktree", "add", "--detach", trees[side], rev, cwd=repo)
+        with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
+            metrics = json.load(f)["end_to_end"]
+        print(f"parent {base[:12]} vs change {head[:12]}: {PAIRS} pairs of "
+              f"{SECONDS}s runs per workload", flush=True)
         for w in WORKLOADS:
             runs = {"parent": [], "change": []}
             for seed in range(1, PAIRS + 1):
                 order = ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]
                 for side in order:
-                    rep = bench(parent if side == "parent" else change, w, seed)
+                    rep = bench(trees[side], w, seed)
                     runs[side].append(rep)
                     print(f"{w} seed {seed} {side}: correct={rep['correct']} "
                           f"failed={rep['failed']}/{rep['attempted']} "
@@ -119,9 +124,11 @@ def main():
                                     f"parent's, bound {m['bound']:.0%}")
             print(flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", parent], cwd=change)
+        for tree in trees.values():
+            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=repo,
+                           capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=change)
+        subprocess.run(["git", "worktree", "prune"], cwd=repo)
     if problems:
         print("benchpair: FAIL\n  " + "\n  ".join(problems))
         sys.exit(1)
