@@ -37,9 +37,9 @@
 // cheaper eigenvector count, or reject early).
 //
 // -store-dir adds a persistent spectrum tier behind the in-memory LRU:
-// computed eigendecompositions are written to CRC-framed files in that
-// directory, LRU evictions spill there instead of being lost, and a
-// restarted daemon serves warm requests by decoding instead of
+// computed and peer-fetched eigendecompositions are written through to
+// CRC-framed files in that directory, so an LRU eviction loses nothing,
+// and a restarted daemon serves warm requests by decoding instead of
 // recomputing. Corrupt entries are quarantined on read, never served.
 //
 // Concurrent jobs needing a decomposition of the same netlist and model

@@ -347,7 +347,7 @@ func TestJobRetention(t *testing.T) {
 }
 
 // The eigensolve is detached from the job that wins the spectrum
-// cache's singleflight (see Pool.fetch): cancelling the winner
+// cache's singleflight (see speccache.Cache.Spectrum): cancelling the winner
 // mid-flight must not starve a follower waiting on the same
 // decomposition — whichever job ends up computing, the follower
 // finishes Done.

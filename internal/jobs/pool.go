@@ -60,9 +60,10 @@ type Config struct {
 	// between automatic journal compactions. Default 1024.
 	CompactEvery int
 	// Store, when set, is the persistent spectrum tier behind the
-	// in-memory LRU: cache misses consult it before computing, computed
-	// entries are written through to it, and LRU evictions spill into
-	// it. The pool does not close it. Default nil (no persistence).
+	// in-memory LRU (see speccache.Cache.Spectrum): misses consult it
+	// before asking a peer or solving, and every spectrum a peer or a
+	// solve delivers is written through to it. The pool does not close
+	// it. Default nil (no persistence).
 	Store specstore.Store
 	// DisableWarmStart makes KindDelta jobs solve cold instead of
 	// seeding the eigensolve from the base netlist's cached spectrum.
@@ -109,9 +110,9 @@ type Stats struct {
 	QueueWait, Spectrum, Solve                StageStats
 	// Computed counts eigendecompositions this process actually solved
 	// — as opposed to serving from the LRU, the persistent store
-	// (StoreHits) or a shard peer (RemoteHits). A warm restart against
-	// a populated store should leave Computed at zero.
-	Computed, StoreHits, RemoteHits uint64
+	// (Cache.StoreHits) or a shard peer (Cache.RemoteHits). A warm
+	// restart against a populated store should leave Computed at zero.
+	Computed uint64
 	// Warm* count KindDelta eigensolves by warm-start outcome (see
 	// spectral.WarmInfo): Accepted refreshed the base spectrum without
 	// solving, Seeded started Lanczos from it, Rejected fell back to a
@@ -156,15 +157,9 @@ type Pool struct {
 	shed *shedder
 	lat  latRing
 
-	// remote, when set via SetRemote before Start, proxies spectrum
-	// lookups to the shard peer owning the fingerprint.
-	remote RemoteSpectrum
-
-	// Spectrum tier counters (see Stats). Atomic because they are
-	// updated from compute closures that run outside the pool lock.
+	// Solve counters (see Stats). Atomic because they are updated from
+	// solve closures that run outside the pool lock.
 	computed     atomic.Uint64
-	storeHits    atomic.Uint64
-	remoteHits   atomic.Uint64
 	warmAccepted atomic.Uint64
 	warmSeeded   atomic.Uint64
 	warmRejected atomic.Uint64
@@ -194,7 +189,7 @@ func NewPool(cfg Config) *Pool {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pool{
 		cfg:        cfg,
-		cache:      speccache.New(cfg.CacheEntries),
+		cache:      speccache.New(cfg.CacheEntries, cfg.Store),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -203,15 +198,6 @@ func NewPool(cfg Config) *Pool {
 		shed:       newShedder(cfg.ShedPolicy, cfg.QueueDepth),
 	}
 	p.runFn = p.run
-	if cfg.Store != nil {
-		// Spill LRU evictions to the persistent tier so capacity pressure
-		// demotes decompositions instead of destroying them.
-		p.cache.SetOnEvict(func(key speccache.Key, e speccache.Entry) {
-			if sp, ok := e.Value.(*spectral.Spectrum); ok && !cfg.Store.Has(specstore.Key(key), e.Pairs) {
-				p.writeThrough(key, sp, false)
-			}
-		})
-	}
 	return p
 }
 
@@ -223,30 +209,10 @@ func (p *Pool) Start() {
 	}
 }
 
-// Cache exposes the spectrum cache (for metrics).
+// Cache exposes the spectrum tier ladder: the serving layer attaches
+// shard peers to it, answers their lookups and offers from it, and
+// reads its counters and store for metrics.
 func (p *Pool) Cache() *speccache.Cache { return p.cache }
-
-// Store exposes the persistent spectrum tier (nil when unconfigured),
-// for metrics.
-func (p *Pool) Store() specstore.Store { return p.cfg.Store }
-
-// SetRemote attaches a shard-peer spectrum fetcher. Call before Start;
-// a nil remote (the default) keeps all spectrum work local.
-func (p *Pool) SetRemote(r RemoteSpectrum) { p.remote = r }
-
-// RemoteSpectrum proxies spectrum traffic to the shard peer owning a
-// fingerprint. Implementations return ok == false (not an error) when
-// the key is owned locally, the peer misses, or the peer is down — the
-// pool then computes locally, so a dead peer degrades throughput, never
-// availability.
-type RemoteSpectrum interface {
-	// Fetch retrieves an encoded spectrum (EncodeSpectrum format) with
-	// capacity >= pairs for (hash, model) from the owning peer.
-	Fetch(ctx context.Context, hash, model string, pairs int) (data []byte, ok bool, err error)
-	// Offer pushes a locally computed spectrum toward the owning peer,
-	// best-effort, so the shard's owner converges on holding its keys.
-	Offer(hash, model string, pairs int, data []byte)
-}
 
 // SetTracer attaches a tracer to the pool's job executions. Call before
 // Start; a nil tracer (the default) leaves jobs untraced.
@@ -526,8 +492,6 @@ func (p *Pool) Stats() Stats {
 		Spectrum:          p.specAgg,
 		Solve:             p.solveAgg,
 		Computed:          p.computed.Load(),
-		StoreHits:         p.storeHits.Load(),
-		RemoteHits:        p.remoteHits.Load(),
 		WarmAccepted:      p.warmAccepted.Load(),
 		WarmSeeded:        p.warmSeeded.Load(),
 		WarmRejected:      p.warmRejected.Load(),
@@ -774,48 +738,28 @@ func newSpecReq(h *spectral.Netlist, hash string, spec spectral.SpectrumSpec) sp
 	}
 }
 
-// fetch resolves r through the tier ladder: in-memory LRU, persistent
-// store, shard peer (when remote), then a local eigensolve. The cache's
-// singleflight wraps the whole ladder, so concurrent requests for one
-// key walk it once, sized to the largest of them. The reported hit
-// covers every tier but the eigensolve: callers learn whether the job
-// skipped its O(d·n²) compute, not which tier paid.
+// fetch resolves r through the spectrum cache's tier ladder (see
+// speccache.Cache.Spectrum), asking the shard peer only when peer is
+// set. The reported hit covers every tier but the eigensolve: callers
+// learn whether the job skipped its O(d·n²) compute, not which tier
+// paid.
 //
-// The compute itself runs under the pool's base context, not the
-// caller's: cancelling one job must not poison the shared fetch other
-// jobs may be waiting on; pool shutdown still aborts it. Every compute
-// goes through the warm-start entry; a nil seed is a plain cold solve.
-// When warm is non-nil the outcome lands in *warm (a nil seed reports
-// "cold"); a tier hit leaves *warm untouched, since nothing was solved.
-func (p *Pool) fetch(ctx context.Context, r specReq, remote bool, seed *spectral.Spectrum, warm *spectral.WarmInfo) (*spectral.Spectrum, bool, error) {
+// The solve runs under the pool's base context, not the caller's:
+// cancelling one job must not poison the shared fetch other jobs may be
+// waiting on; pool shutdown still aborts it. Every solve goes through
+// the warm-start entry; a nil seed is a plain cold solve. When warm is
+// non-nil the outcome lands in *warm (a nil seed reports "cold"); a
+// tier hit leaves *warm untouched, since nothing was solved.
+func (p *Pool) fetch(ctx context.Context, r specReq, peer bool, seed *spectral.Spectrum, warm *spectral.WarmInfo) (*spectral.Spectrum, bool, error) {
 	computed := false
-	entry, _, err := p.cache.GetOrCompute(ctx, r.key, r.pairs, func(cctx context.Context, pairs int) (speccache.Entry, error) {
-		tr := trace.FromContext(cctx)
-		if p.cfg.Store != nil {
-			if e, ok, err := p.cfg.Store.Get(specstore.Key(r.key)); err == nil && ok && e.Pairs >= pairs {
-				if sp, err := decodeSpectrum(e.Data, r.h, pairs); err == nil {
-					p.storeHits.Add(1)
-					tr.Add("specstore.tier-hits", 1)
-					return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
-				}
-			}
-		}
-		if remote && p.remote != nil {
-			if data, ok, err := p.remote.Fetch(cctx, r.key.Hash, r.key.Model, pairs); err == nil && ok {
-				if sp, err := decodeSpectrum(data, r.h, pairs); err == nil {
-					p.remoteHits.Add(1)
-					tr.Add("shard.remote-hits", 1)
-					return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
-				}
-			}
-		}
+	sp, err := p.cache.Spectrum(ctx, r.h, r.key, r.pairs, peer, func(cctx context.Context, pairs int) (*spectral.Spectrum, error) {
 		// Detach from the caller's cancellation but keep its trace: the
 		// decompose spans nest under this job's cache.lookup span even
-		// though the compute outlives the job on purpose.
+		// though the solve outlives the job on purpose.
 		dctx := trace.Adopt(p.baseCtx, cctx)
 		sp, wi, err := spectral.DecomposeWarmCtxPolicy(dctx, r.h, r.model, pairs-1, seed, p.cfg.EigenPolicy)
 		if err != nil {
-			return speccache.Entry{}, err
+			return nil, err
 		}
 		if warm != nil {
 			*warm = wi
@@ -823,8 +767,7 @@ func (p *Pool) fetch(ctx context.Context, r specReq, remote bool, seed *spectral
 		}
 		computed = true
 		p.computed.Add(1)
-		p.writeThrough(r.key, sp, remote)
-		return speccache.Entry{Value: sp, Pairs: sp.Pairs()}, nil
+		return sp, nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -834,94 +777,8 @@ func (p *Pool) fetch(ctx context.Context, r specReq, remote bool, seed *spectral
 		// decomposition so the cache recovers along with the queue.
 		p.appendJournal(journal.Record{
 			Type: journal.TypeSpectrum, Hash: r.key.Hash, Model: r.key.Model,
-			Pairs: entry.Pairs, UnixNS: time.Now().UnixNano(),
+			Pairs: sp.Pairs(), UnixNS: time.Now().UnixNano(),
 		})
 	}
-	return entry.Value.(*spectral.Spectrum), !computed, nil
-}
-
-// decodeSpectrum decodes an encoded spectrum against h — which rejects
-// a payload for any other netlist — and checks it holds at least pairs
-// eigenpairs. Every byte tier (store, shard peer, adopted push) goes
-// through it, so no payload reaches the LRU unvalidated.
-func decodeSpectrum(data []byte, h *spectral.Netlist, pairs int) (*spectral.Spectrum, error) {
-	sp, err := spectral.DecodeSpectrum(data, h)
-	if err != nil {
-		return nil, err
-	}
-	if sp.Pairs() < pairs {
-		return nil, fmt.Errorf("payload holds %d pairs, want %d", sp.Pairs(), pairs)
-	}
-	return sp, nil
-}
-
-// writeThrough encodes sp once, puts it in the persistent store and,
-// when offer is set, offers it to the shard peer owning its key. The
-// compute path offers; an LRU eviction only demotes. Best-effort on
-// both counts: persistence failures cost future recomputes, never
-// correctness.
-func (p *Pool) writeThrough(key speccache.Key, sp *spectral.Spectrum, offer bool) {
-	offer = offer && p.remote != nil
-	if p.cfg.Store == nil && !offer {
-		return
-	}
-	data, err := spectral.EncodeSpectrum(sp)
-	if err != nil {
-		return
-	}
-	if p.cfg.Store != nil {
-		_ = p.cfg.Store.Put(specstore.Key(key), specstore.Entry{Pairs: sp.Pairs(), Data: data})
-	}
-	if offer {
-		p.remote.Offer(key.Hash, key.Model, sp.Pairs(), data)
-	}
-}
-
-// SpectrumBytes serves a shard peer's lookup from the local tiers only
-// — LRU, then store. It never proxies (so forwarding chains cannot
-// loop) and never computes (so a lookup storm cannot schedule work on
-// the owner; the requester falls back to its own compute and offers the
-// result back).
-func (p *Pool) SpectrumBytes(hash, model string, pairs int) ([]byte, int, bool) {
-	if pairs < 1 {
-		return nil, 0, false
-	}
-	key := speccache.Key{Hash: hash, Model: model}
-	if e, ok := p.cache.Get(key, pairs); ok {
-		if sp, isSp := e.Value.(*spectral.Spectrum); isSp {
-			if data, err := spectral.EncodeSpectrum(sp); err == nil {
-				return data, sp.Pairs(), true
-			}
-		}
-	}
-	if p.cfg.Store != nil {
-		if e, ok, err := p.cfg.Store.Get(specstore.Key(key)); err == nil && ok && e.Pairs >= pairs {
-			return e.Data, e.Pairs, true
-		}
-	}
-	return nil, 0, false
-}
-
-// AdoptSpectrum accepts an encoded spectrum pushed by a shard peer.
-// When the daemon holds a netlist matching the hash, the payload is
-// decoded (and thereby validated) against it and seeded into the LRU;
-// either way it lands in the persistent store, where a later Get
-// re-validates it against the real netlist before use — a peer can
-// waste our disk with garbage, but cannot poison an answer.
-func (p *Pool) AdoptSpectrum(hash, model string, pairs int, data []byte, h *spectral.Netlist) error {
-	if pairs < 1 || len(data) == 0 {
-		return fmt.Errorf("jobs: adopt spectrum: empty payload")
-	}
-	key := speccache.Key{Hash: hash, Model: model}
-	if h != nil {
-		sp, err := decodeSpectrum(data, h, pairs)
-		if err != nil {
-			return fmt.Errorf("jobs: adopt spectrum: %w", err)
-		}
-		p.cache.Seed(key, speccache.Entry{Value: sp, Pairs: sp.Pairs()})
-	}
-	if p.cfg.Store != nil {
-		return p.cfg.Store.Put(specstore.Key(key), specstore.Entry{Pairs: pairs, Data: data})
-	}
-	return nil
+	return sp, !computed, nil
 }

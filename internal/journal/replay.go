@@ -91,11 +91,11 @@ type ReplayResult struct {
 
 	byHash map[string]int
 	byID   map[string]*JobReplay
-	hints  map[Key]int
+	hints  map[hintKey]int
 }
 
-// Key identifies a spectrum hint.
-type Key struct {
+// hintKey identifies a spectrum hint.
+type hintKey struct {
 	Hash, Model string
 }
 
@@ -103,7 +103,7 @@ func newReplayResult() *ReplayResult {
 	return &ReplayResult{
 		byHash: make(map[string]int),
 		byID:   make(map[string]*JobReplay),
-		hints:  make(map[Key]int),
+		hints:  make(map[hintKey]int),
 	}
 }
 
@@ -265,7 +265,7 @@ func (r *ReplayResult) fold(rec Record) {
 		}
 	case TypeSpectrum:
 		st.SpectrumHints++
-		k := Key{Hash: rec.Hash, Model: rec.Model}
+		k := hintKey{Hash: rec.Hash, Model: rec.Model}
 		if i, ok := r.hints[k]; ok {
 			if rec.Pairs > r.Hints[i].Pairs {
 				r.Hints[i].Pairs = rec.Pairs

@@ -53,8 +53,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("spectrald_spectrum_cache_warm_hints_total", "Decompositions prewarmed from journal replay hints.", st.Cache.WarmHints)
 	gauge("spectrald_spectrum_cache_entries", "Decompositions currently cached.", st.Cache.Entries)
 	counter("spectrald_spectrum_computed_total", "Eigendecompositions actually solved by this process (not served by any cache tier).", st.Computed)
-	counter("spectrald_spectrum_store_hits_total", "Spectrum fetches served by the persistent store tier.", st.StoreHits)
-	counter("spectrald_spectrum_remote_hits_total", "Spectrum fetches served by a shard peer.", st.RemoteHits)
+	counter("spectrald_spectrum_store_hits_total", "Spectrum fetches served by the persistent store tier.", st.Cache.StoreHits)
+	counter("spectrald_spectrum_remote_hits_total", "Spectrum fetches served by a shard peer.", st.Cache.RemoteHits)
 
 	// Incremental (ECO) delta jobs: eigensolves by warm-start outcome.
 	fmt.Fprintf(&b, "# HELP spectrald_warmstart_total Delta-job eigensolves by warm-start outcome.\n# TYPE spectrald_warmstart_total counter\n")
@@ -71,7 +71,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Persistent spectrum store (when configured).
-	if store := s.pool.Store(); store != nil {
+	if store := s.pool.Cache().Store(); store != nil {
 		ss := store.Stats()
 		counter("spectrald_specstore_hits_total", "Persistent store reads that returned an entry.", ss.Hits)
 		counter("spectrald_specstore_misses_total", "Persistent store reads that missed.", ss.Misses)
@@ -95,7 +95,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("spectrald_shard_served_fetches_total", "Peer spectrum lookups answered from local tiers.", sh.servedPeerFetches)
 	counter("spectrald_shard_served_misses_total", "Peer spectrum lookups answered 404.", sh.servedPeerMisses)
 	counter("spectrald_shard_adopted_spectra_total", "Peer-offered spectra accepted into local tiers.", sh.adoptedSpectra)
-	counter("spectrald_shard_adopt_rejects_total", "Peer-offered spectra rejected as invalid.", sh.adoptRejects)
+	counter("spectrald_shard_adopt_rejects_total", "Peer-offered spectra rejected as invalid or with no local tier to keep them.", sh.adoptRejects)
 
 	// Overload control and crash safety.
 	gauge("spectrald_retry_after_seconds", "Current backoff hint quoted to rejected submissions.", st.RetryAfterSeconds)

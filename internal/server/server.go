@@ -26,7 +26,8 @@
 //	GET  /v1/spectra               shard protocol: serve a cached encoded
 //	                               spectrum (?hash=&model=&pairs=); 404 on miss
 //	PUT  /v1/spectra               shard protocol: accept a peer's computed
-//	                               spectrum (octet-stream body)
+//	                               spectrum (octet-stream body); 404 when
+//	                               neither its netlist nor a store is here
 package server
 
 import (

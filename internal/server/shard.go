@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	spectral "repro"
 	"repro/internal/shard"
+	"repro/internal/speccache"
 )
 
 // peerTimeout bounds every proxied spectrum call. A slow peer must cost
@@ -21,12 +23,12 @@ import (
 // deal.
 const peerTimeout = 10 * time.Second
 
-// shardClient implements jobs.RemoteSpectrum over a rendezvous ring of
-// spectrald base URLs: spectrum lookups for keys owned elsewhere are
-// proxied to the owner, and locally computed spectra are offered to
-// their owner so the shard converges on one copy per key. Every failure
-// mode — owner down, owner misses, payload damaged — degrades to local
-// compute.
+// shardClient implements speccache.RemoteSpectrum over a rendezvous
+// ring of spectrald base URLs: spectrum lookups for keys owned
+// elsewhere are proxied to the owner, and locally computed spectra are
+// offered to their owner so the shard converges on one copy per key.
+// Every failure mode — owner down, owner misses, payload damaged —
+// degrades to local compute.
 type shardClient struct {
 	ring     *shard.Ring
 	client   *http.Client
@@ -62,7 +64,7 @@ func (s *Server) ConfigureSharding(self string, peers []string) error {
 		maxBytes: s.cfg.MaxBodyBytes,
 	}
 	s.shard = sc
-	s.pool.SetRemote(sc)
+	s.pool.Cache().SetRemote(sc)
 	return nil
 }
 
@@ -87,7 +89,7 @@ func spectraURL(base, hash, model string, pairs int) string {
 		base, url.QueryEscape(hash), url.QueryEscape(model), pairs)
 }
 
-// Fetch implements jobs.RemoteSpectrum: ask the key's owner for an
+// Fetch implements speccache.RemoteSpectrum: ask the key's owner for an
 // encoded spectrum. ok == false (never an error) covers every reason to
 // compute locally instead — local ownership, owner miss, owner down.
 func (c *shardClient) Fetch(ctx context.Context, hash, model string, pairs int) ([]byte, bool, error) {
@@ -128,7 +130,7 @@ func (c *shardClient) Fetch(ctx context.Context, hash, model string, pairs int) 
 	return data, true, nil
 }
 
-// Offer implements jobs.RemoteSpectrum: push a locally computed
+// Offer implements speccache.RemoteSpectrum: push a locally computed
 // spectrum to its owner. Synchronous and best-effort — the caller just
 // paid for an eigensolve, so one bounded HTTP round-trip is noise, and
 // a deterministic hand-off is what makes "the owner has it" testable.
@@ -181,7 +183,7 @@ func (s *Server) handleGetSpectrum(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	data, got, ok := s.pool.SpectrumBytes(hash, model, pairs)
+	data, got, ok := s.pool.Cache().Bytes(speccache.Key{Hash: hash, Model: model}, pairs)
 	if !ok {
 		s.peerFetchMisses.Add(1)
 		writeError(w, http.StatusNotFound, "no cached spectrum for %s/%s with >= %d pairs", hash, model, pairs)
@@ -196,7 +198,8 @@ func (s *Server) handleGetSpectrum(w http.ResponseWriter, r *http.Request) {
 // handlePutSpectrum accepts a spectrum offered by a shard peer. When
 // the matching netlist is stored here the payload is validated against
 // it and seeded into the hot cache; otherwise it lands in the
-// persistent store, to be validated on first read.
+// persistent store, to be validated on first read. With neither, the
+// offer is refused with 404: nothing here could keep it.
 func (s *Server) handlePutSpectrum(w http.ResponseWriter, r *http.Request) {
 	hash, model, pairs, err := spectraParams(r)
 	if err != nil {
@@ -212,9 +215,13 @@ func (s *Server) handlePutSpectrum(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.lookup(hash); ok {
 		h = st.h
 	}
-	if err := s.pool.AdoptSpectrum(hash, model, pairs, data, h); err != nil {
+	if err := s.pool.Cache().Adopt(speccache.Key{Hash: hash, Model: model}, pairs, data, h); err != nil {
 		s.adoptRejects.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		status := http.StatusUnprocessableEntity
+		if errors.Is(err, speccache.ErrUnkept) {
+			status = http.StatusNotFound
+		}
+		writeError(w, status, "%v", err)
 		return
 	}
 	s.adoptedSpectra.Add(1)

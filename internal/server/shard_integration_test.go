@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 
 	spectral "repro"
 	"repro/internal/jobs"
+	"repro/internal/speccache"
+	"repro/internal/specstore"
 )
 
 func netlistTextScale(t *testing.T, scale float64) string {
@@ -151,6 +154,11 @@ func TestSpectraPeerEndpoints(t *testing.T) {
 	if got := pool.Stats().Computed; got != 0 {
 		t.Fatalf("peer lookup triggered %d eigensolves", got)
 	}
+	// A peer lookup is not a job: the job cache counters (behind
+	// spectrald_spectrum_cache_{hits,misses}_total) must not move.
+	if st := pool.Cache().Stats(); st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("peer lookup counted as job cache traffic: %d hits, %d misses", st.Hits, st.Misses)
+	}
 
 	// Warm the cache, then the lookup serves bytes.
 	st, _ := submitJob(t, ts, fmt.Sprintf(`{"netlist":%q,"method":"melo","k":2}`, hash))
@@ -207,5 +215,65 @@ func TestSpectraPeerEndpoints(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("lookup %q = %d, want 400", q, resp.StatusCode)
 		}
+	}
+}
+
+func putSpectrum(t *testing.T, ts *httptest.Server, hash string, pairs int, data []byte) int {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodPut,
+		fmt.Sprintf("%s/v1/spectra?hash=%s&model=partitioning-specific&pairs=%d", ts.URL, hash, pairs),
+		bytes.NewReader(data))
+	req.Header.Set("Content-Type", "application/octet-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// A shard owner shares spectra, not netlists, so an offer often arrives
+// for a netlist it has never seen. Without a store nothing can keep the
+// payload: the offer must be refused (404) and counted as a reject, not
+// reported as adopted. With a store it is kept there for a later read
+// to validate.
+func TestSpectraOfferWithoutNetlist(t *testing.T) {
+	h, err := spectral.GenerateBenchmark("prim1", 0.06)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := spectral.DecomposeCtx(context.Background(), h, spectral.ModelPartitioningSpecific, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := spectral.EncodeSpectrum(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := speccache.Fingerprint(h)
+
+	_, _, bare := newTestServer(t, jobs.Config{Workers: 1, QueueDepth: 4})
+	if code := putSpectrum(t, bare, hash, sp.Pairs(), data); code != http.StatusNotFound {
+		t.Errorf("offer to a store-less server without the netlist = %d, want 404", code)
+	}
+	m := metricsText(t, bare)
+	if !strings.Contains(m, "spectrald_shard_adopted_spectra_total 0") || !strings.Contains(m, "spectrald_shard_adopt_rejects_total 1") {
+		t.Errorf("unkept offer not counted as a reject:\n%s", m)
+	}
+
+	store, err := specstore.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	_, _, stored := newTestServer(t, jobs.Config{Workers: 1, QueueDepth: 4, Store: store})
+	if code := putSpectrum(t, stored, hash, sp.Pairs(), data); code != http.StatusNoContent {
+		t.Errorf("offer to a server with a store = %d, want 204", code)
+	}
+	if !strings.Contains(metricsText(t, stored), "spectrald_shard_adopted_spectra_total 1") {
+		t.Error("offer kept in the store not counted as adopted")
+	}
+	if e, ok, _ := store.Get(specstore.Key{Hash: hash, Model: "partitioning-specific"}); !ok || !bytes.Equal(e.Data, data) {
+		t.Error("offered bytes did not land in the store")
 	}
 }

@@ -12,6 +12,14 @@
 // the in-flight compute produces gets one follow-up sized to the largest
 // waiter), and a request that needs more eigenvectors than a cached
 // entry holds recomputes and replaces it (capacities only grow).
+//
+// The LRU is the top rung of the daemon's spectrum tier ladder, and the
+// cache owns the whole ladder (ladder.go): a miss walks the persistent
+// store (internal/specstore), then the shard peer owning the key, then
+// a caller-supplied solve, all inside the singleflight. Everything that
+// enters the LRU from a peer or a solve is written through to the store
+// right then, so an eviction just drops the entry; the only other
+// writer is a peer's offer (Adopt).
 package speccache
 
 import (
@@ -26,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/hypergraph"
+	"repro/internal/specstore"
 	"repro/internal/trace"
 )
 
@@ -106,13 +115,9 @@ func sortNets(nets [][]int) {
 }
 
 // Key identifies one cached decomposition family: a netlist content
-// hash plus the clique model it was decomposed under.
-type Key struct {
-	// Hash is the netlist fingerprint (see Fingerprint).
-	Hash string
-	// Model names the clique model (e.g. "partitioning-specific").
-	Model string
-}
+// hash (see Fingerprint) plus the clique model it was decomposed under.
+// It is the persistent store's key, so the two tiers never convert.
+type Key = specstore.Key
 
 // Entry is one cached value. Value is opaque to the cache (the daemon
 // stores a *spectral.Spectrum); Pairs is its reuse capacity — the entry
@@ -124,7 +129,12 @@ type Entry struct {
 
 // Stats reports cache effectiveness counters.
 type Stats struct {
+	// Hits and Misses count GetOrCompute lookups (jobs); a miss walks
+	// the tiers below the LRU. Peer reads (Bytes) count in neither.
 	Hits, Misses, Evictions uint64
+	// StoreHits and RemoteHits count misses the persistent store or a
+	// shard peer served without a solve.
+	StoreHits, RemoteHits uint64
 	// WarmHints counts keys announced via MarkExpected — decompositions
 	// a journal replay said were cached before a restart.
 	WarmHints uint64
@@ -144,11 +154,13 @@ type Cache struct {
 	evicted   uint64
 	warmHints uint64
 
-	// onEvict, when set, receives every entry the LRU drops for
-	// capacity. It is invoked outside the cache lock, on the goroutine
-	// whose insert caused the eviction (a persistent tier spills the
-	// still-warm decomposition to durable storage before it is lost).
-	onEvict func(Key, Entry)
+	// The tiers below the LRU (see ladder.go): store is fixed at New,
+	// remote is attached by SetRemote before traffic. Their hit counters
+	// are atomic because misses walk the tiers outside mu.
+	store      specstore.Store
+	remote     RemoteSpectrum
+	storeHits  atomic.Uint64
+	remoteHits atomic.Uint64
 }
 
 type slot struct {
@@ -167,8 +179,9 @@ type call struct {
 }
 
 // New returns a cache holding at most maxEntries decompositions
-// (minimum 1).
-func New(maxEntries int) *Cache {
+// (minimum 1) in front of store, the persistent tier (nil for none).
+// The cache does not close the store.
+func New(maxEntries int, store specstore.Store) *Cache {
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
@@ -177,13 +190,9 @@ func New(maxEntries int) *Cache {
 		ll:       list.New(),
 		items:    make(map[Key]*list.Element),
 		inflight: make(map[Key]*call),
+		store:    store,
 	}
 }
-
-// SetOnEvict installs the eviction callback (see Cache.onEvict). Set it
-// before the cache sees traffic; it is not synchronized against
-// concurrent GetOrCompute calls.
-func (c *Cache) SetOnEvict(fn func(Key, Entry)) { c.onEvict = fn }
 
 // GetOrCompute returns the cached entry for key if it holds at least
 // pairs eigenpairs, marking it most-recently-used; otherwise it runs
@@ -275,82 +284,38 @@ func (c *Cache) getOrCompute(ctx context.Context, key Key, pairs int, compute fu
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	var spilled []slot
 	if cl.err == nil {
-		spilled = c.store(key, cl.entry)
+		c.insert(key, cl.entry)
 	}
 	c.mu.Unlock()
 	close(cl.done)
-	c.spill(spilled)
 	if cl.err != nil {
 		return Entry{}, false, cl.err
 	}
 	return cl.entry, false, nil
 }
 
-// store inserts or replaces the entry for key and evicts LRU entries
-// beyond capacity, returning the evicted slots so the caller can hand
-// them to the onEvict spill hook outside the lock. Caller holds c.mu.
-// A replacement only ever grows an entry's capacity: computes are sized
-// to the largest outstanding request.
-func (c *Cache) store(key Key, e Entry) []slot {
+// insert inserts or replaces the entry for key and evicts LRU entries
+// beyond capacity. Caller holds c.mu. A replacement only ever grows an
+// entry's capacity: computes are sized to the largest outstanding
+// request. An evicted entry is simply dropped: every entry that reached
+// the LRU from a solve or a peer was already written through to the
+// store.
+func (c *Cache) insert(key Key, e Entry) {
 	if el, ok := c.items[key]; ok {
 		s := el.Value.(*slot)
 		if e.Pairs >= s.entry.Pairs {
 			s.entry = e
 		}
 		c.ll.MoveToFront(el)
-		return nil
-	}
-	c.items[key] = c.ll.PushFront(&slot{key: key, entry: e})
-	var spilled []slot
-	for c.ll.Len() > c.max {
-		back := c.ll.Back()
-		s := back.Value.(*slot)
-		c.ll.Remove(back)
-		delete(c.items, s.key)
-		c.evicted++
-		spilled = append(spilled, *s)
-	}
-	return spilled
-}
-
-// Get returns the cached entry for key if it holds at least pairs
-// eigenpairs, marking it most-recently-used, without ever computing.
-// Shard peers serve each other's lookups through it.
-func (c *Cache) Get(key Key, pairs int) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		s := el.Value.(*slot)
-		if s.entry.Pairs >= pairs {
-			c.ll.MoveToFront(el)
-			c.hits++
-			return s.entry, true
-		}
-	}
-	c.misses++
-	return Entry{}, false
-}
-
-// Seed inserts an entry obtained elsewhere — a shard peer's push or a
-// persistent-store preload — without running a compute. Capacity rules
-// match GetOrCompute's: an existing larger entry is kept.
-func (c *Cache) Seed(key Key, e Entry) {
-	c.mu.Lock()
-	spilled := c.store(key, e)
-	c.mu.Unlock()
-	c.spill(spilled)
-}
-
-// spill hands evicted slots to the onEvict hook. Callers release c.mu
-// first: the hook may do I/O.
-func (c *Cache) spill(spilled []slot) {
-	if c.onEvict == nil {
 		return
 	}
-	for _, s := range spilled {
-		c.onEvict(s.key, s.entry)
+	c.items[key] = c.ll.PushFront(&slot{key: key, entry: e})
+	for c.ll.Len() > c.max {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.items, back.Value.(*slot).key)
+		c.evicted++
 	}
 }
 
@@ -376,5 +341,9 @@ func (c *Cache) Len() int {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Evictions: c.evicted, WarmHints: c.warmHints, Entries: c.ll.Len()}
+	return Stats{
+		Hits: c.hits, Misses: c.misses, Evictions: c.evicted,
+		StoreHits: c.storeHits.Load(), RemoteHits: c.remoteHits.Load(),
+		WarmHints: c.warmHints, Entries: c.ll.Len(),
+	}
 }

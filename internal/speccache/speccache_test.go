@@ -55,7 +55,7 @@ func TestFingerprintAreas(t *testing.T) {
 }
 
 func TestGetOrComputeHitMissAndCapacity(t *testing.T) {
-	c := New(4)
+	c := New(4, nil)
 	key := Key{Hash: "sha256:x", Model: "partitioning-specific"}
 	var computes atomic.Int64
 	compute := func(pairs int) func(context.Context, int) (Entry, error) {
@@ -87,7 +87,7 @@ func TestGetOrComputeHitMissAndCapacity(t *testing.T) {
 }
 
 func TestGetOrComputeSingleflight(t *testing.T) {
-	c := New(4)
+	c := New(4, nil)
 	key := Key{Hash: "sha256:y", Model: "frankle"}
 	var computes atomic.Int64
 	release := make(chan struct{})
@@ -123,7 +123,7 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 }
 
 func TestGetOrComputeErrorNotCached(t *testing.T) {
-	c := New(4)
+	c := New(4, nil)
 	key := Key{Hash: "sha256:z", Model: "standard"}
 	var computes atomic.Int64
 	fail := func(context.Context, int) (Entry, error) {
@@ -146,7 +146,7 @@ func TestGetOrComputeErrorNotCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2)
+	c := New(2, nil)
 	put := func(hash string) {
 		_, _, err := c.GetOrCompute(context.Background(), Key{Hash: hash}, 1,
 			func(context.Context, int) (Entry, error) { return Entry{Pairs: 1}, nil })
@@ -172,7 +172,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestWaiterCancellation(t *testing.T) {
-	c := New(2)
+	c := New(2, nil)
 	key := Key{Hash: "sha256:w"}
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -208,7 +208,7 @@ func TestWaiterCancellation(t *testing.T) {
 //     the decomposition to its followers and to the cache.
 func TestWinnerCancelledMidFlight(t *testing.T) {
 	t.Run("cooperative-compute-shares-the-cancellation", func(t *testing.T) {
-		c := New(4)
+		c := New(4, nil)
 		key := Key{Hash: "sha256:winner-coop", Model: "standard"}
 		winnerCtx, cancelWinner := context.WithCancel(context.Background())
 		inCompute := make(chan struct{})
@@ -264,7 +264,7 @@ func TestWinnerCancelledMidFlight(t *testing.T) {
 	})
 
 	t.Run("detached-compute-still-feeds-followers", func(t *testing.T) {
-		c := New(4)
+		c := New(4, nil)
 		key := Key{Hash: "sha256:winner-detached", Model: "standard"}
 		winnerCtx, cancelWinner := context.WithCancel(context.Background())
 		inCompute := make(chan struct{})
@@ -379,7 +379,7 @@ func TestPrefixReuseEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New(4)
+			c := New(4, nil)
 			for si, step := range tc.steps {
 				deliver := step.deliver
 				entry, hit, err := c.GetOrCompute(context.Background(), key, step.request,
@@ -403,7 +403,7 @@ func TestPrefixReuseEdgeCases(t *testing.T) {
 // TestCapacityNeverShrinks: a smaller recompute for an existing key must
 // not shrink the stored capacity (store keeps the larger entry).
 func TestCapacityNeverShrinks(t *testing.T) {
-	c := New(4)
+	c := New(4, nil)
 	key := Key{Hash: "sha256:grow", Model: "m"}
 	mustCompute := func(request, deliver int) {
 		t.Helper()
@@ -446,7 +446,7 @@ func (a *arrivalCtx) Done() <-chan struct{} {
 // waiter's pair count, and every waiter gets an entry covering its own
 // request.
 func TestUndersizedComputeFoldsWaiters(t *testing.T) {
-	c := New(4)
+	c := New(4, nil)
 	key := Key{Hash: "sha256:fold", Model: "partitioning-specific"}
 	inCompute := make(chan struct{})
 	release := make(chan struct{})

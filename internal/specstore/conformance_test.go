@@ -25,9 +25,6 @@ type backendFixture struct {
 
 func backends(t *testing.T) map[string]func(t *testing.T) backendFixture {
 	return map[string]func(t *testing.T) backendFixture{
-		"memory": func(t *testing.T) backendFixture {
-			return backendFixture{store: NewMemory()}
-		},
 		"disk": func(t *testing.T) backendFixture {
 			dir := t.TempDir()
 			d, err := OpenDisk(dir)
@@ -81,7 +78,6 @@ func (f *faultyStore) Put(key Key, e Entry) error {
 }
 
 func (f *faultyStore) Get(key Key) (Entry, bool, error) { return f.inner.Get(key) }
-func (f *faultyStore) Has(key Key, pairs int) bool      { return f.inner.Has(key, pairs) }
 func (f *faultyStore) Len() int                         { return f.inner.Len() }
 func (f *faultyStore) Stats() Stats                     { return f.inner.Stats() }
 func (f *faultyStore) Close() error                     { return f.inner.Close() }
@@ -109,7 +105,7 @@ func TestConformance(t *testing.T) {
 }
 
 // conformRoundTrip: what you Put is what you Get, bit for bit, and
-// Has/Len agree. A faulty backend may refuse a Put (with an error, not
+// Len agrees. A faulty backend may refuse a Put (with an error, not
 // silently) — a refused Put must behave as if it never happened.
 func conformRoundTrip(t *testing.T, fx backendFixture) {
 	s := fx.store
@@ -137,17 +133,8 @@ func conformRoundTrip(t *testing.T, fx backendFixture) {
 		if ok != stored {
 			t.Fatalf("Get(%v) ok = %v, want %v", k, ok, stored)
 		}
-		if !stored {
-			if s.Has(k, 1) {
-				t.Errorf("Has(%v) true for absent key", k)
-			}
-			continue
-		}
-		if got.Pairs != e.Pairs || !bytes.Equal(got.Data, e.Data) {
+		if stored && (got.Pairs != e.Pairs || !bytes.Equal(got.Data, e.Data)) {
 			t.Errorf("Get(%v) returned different bytes than Put stored", k)
-		}
-		if !s.Has(k, e.Pairs) || s.Has(k, e.Pairs+1) {
-			t.Errorf("Has(%v) capacity semantics wrong", k)
 		}
 	}
 }
@@ -199,15 +186,12 @@ func conformEmpty(t *testing.T, fx backendFixture) {
 	if _, ok, err := s.Get(key(0)); ok || err != nil {
 		t.Fatalf("fresh store Get: ok=%v err=%v", ok, err)
 	}
-	if s.Has(key(0), 1) {
-		t.Fatal("fresh store Has = true")
-	}
 	if st := s.Stats(); st.Misses == 0 {
 		t.Fatal("miss not counted")
 	}
 }
 
-// conformConcurrency: concurrent Put/Get/Has on overlapping keys must
+// conformConcurrency: concurrent Put/Get/Stats on overlapping keys must
 // be race-free (run under -race) and never yield torn reads.
 func conformConcurrency(t *testing.T, fx backendFixture) {
 	s := fx.store
@@ -241,7 +225,7 @@ func conformConcurrency(t *testing.T, fx backendFixture) {
 						return
 					}
 				case 2:
-					s.Has(k, pairs)
+					s.Stats()
 				}
 			}
 		}(g)

@@ -318,14 +318,6 @@ func (d *Disk) noteError() {
 	d.mu.Unlock()
 }
 
-// Has implements Store, answering from the in-memory index (no I/O).
-func (d *Disk) Has(key Key, pairs int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ie, ok := d.index[key]
-	return ok && ie.pairs >= pairs
-}
-
 // Len implements Store.
 func (d *Disk) Len() int {
 	d.mu.Lock()

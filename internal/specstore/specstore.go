@@ -2,8 +2,9 @@
 // spectrum cache (internal/speccache): a pluggable content-addressed
 // store of encoded eigendecompositions, so restarts and horizontal
 // scale-out stop recomputing identical O(d·n²) eigensolves. The
-// in-memory LRU stays the hot tier; this package is the durable tier it
-// spills evicted entries to and repopulates misses from.
+// in-memory LRU stays the hot tier; this package is the durable tier
+// every peer-fetched or solved spectrum is written through to, and that
+// LRU misses repopulate from.
 //
 // Entries are opaque byte payloads (the root package's EncodeSpectrum
 // format) keyed by (netlist fingerprint, clique model) with a recorded
@@ -12,20 +13,14 @@
 // grows a key's capacity — overwriting with fewer pairs is a no-op —
 // so concurrent writers cannot regress a key.
 //
-// Two backends ship here: Memory (tests, single-process default) and
-// Disk (CRC-framed files, atomic temp-file + rename writes, fsync,
-// corrupt-entry quarantine). Every backend must pass the conformance
-// suite in conformance_test.go; new backends (object stores) inherit
-// the same gate.
+// One backend ships here: Disk (CRC-framed files, atomic temp-file +
+// rename writes, fsync, corrupt-entry quarantine). Every backend must
+// pass the conformance suite in conformance_test.go; new backends
+// (object stores) inherit the same gate.
 package specstore
 
-import (
-	"sort"
-	"sync"
-)
-
 // Key identifies one stored decomposition family: netlist content hash
-// plus clique model name, matching speccache.Key.
+// plus clique model name. speccache.Key is an alias of it.
 type Key struct {
 	Hash  string
 	Model string
@@ -66,105 +61,10 @@ type Store interface {
 	// Put stores the entry for key, keeping whichever of the existing
 	// and new entries has the larger capacity.
 	Put(key Key, e Entry) error
-	// Has reports whether key holds an entry with capacity >= pairs,
-	// without reading the payload.
-	Has(key Key, pairs int) bool
 	// Len returns the number of stored entries.
 	Len() int
 	// Stats returns a snapshot of the store's counters.
 	Stats() Stats
 	// Close releases backend resources. The store is unusable after.
 	Close() error
-}
-
-// Memory is the in-process Store backend: a mutex-guarded map. Useful
-// as the conformance-reference implementation and for tests; a
-// production spectrald uses Disk (or nothing).
-type Memory struct {
-	mu      sync.Mutex
-	entries map[Key]Entry
-	stats   Stats
-}
-
-// NewMemory returns an empty in-memory store.
-func NewMemory() *Memory {
-	return &Memory{entries: make(map[Key]Entry)}
-}
-
-// Get implements Store.
-func (m *Memory) Get(key Key) (Entry, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok {
-		m.stats.Misses++
-		return Entry{}, false, nil
-	}
-	m.stats.Hits++
-	// Callers may retain the returned slice; hand out a copy so a later
-	// Put cannot alias it.
-	c := Entry{Pairs: e.Pairs, Data: append([]byte(nil), e.Data...)}
-	return c, true, nil
-}
-
-// Put implements Store.
-func (m *Memory) Put(key Key, e Entry) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if old, ok := m.entries[key]; ok && old.Pairs >= e.Pairs {
-		m.stats.SkippedPuts++
-		return nil
-	}
-	m.entries[key] = Entry{Pairs: e.Pairs, Data: append([]byte(nil), e.Data...)}
-	m.stats.Puts++
-	return nil
-}
-
-// Has implements Store.
-func (m *Memory) Has(key Key, pairs int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	return ok && e.Pairs >= pairs
-}
-
-// Len implements Store.
-func (m *Memory) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
-
-// Stats implements Store.
-func (m *Memory) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.stats
-	s.Entries = len(m.entries)
-	return s
-}
-
-// Close implements Store.
-func (m *Memory) Close() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries = make(map[Key]Entry)
-	return nil
-}
-
-// Keys returns the stored keys in deterministic order (tests).
-func (m *Memory) Keys() []Key {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]Key, 0, len(m.entries))
-	for k := range m.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Hash != keys[j].Hash {
-			return keys[i].Hash < keys[j].Hash
-		}
-		return keys[i].Model < keys[j].Model
-	})
-	return keys
 }
