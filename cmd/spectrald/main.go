@@ -101,7 +101,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS, capped at 8)")
 		queueDepth   = flag.Int("queue", 0, "job queue depth before 429 backpressure (0 = 64)")
 		cacheSize    = flag.Int("cache", 0, "spectrum cache entries (0 = 32)")
-		maxNetlists  = flag.Int("max-netlists", 0, "netlist store bound (0 = 128)")
+		maxNetlists  = flag.Int("max-netlists", 0, "netlist store bound; the least recently used netlist is evicted first (0 = 128)")
 		parallelism  = flag.Int("parallelism", 0, "worker goroutines per numerical kernel (0 = GOMAXPROCS)")
 		grace        = flag.Duration("grace", 30*time.Second, "drain window for in-flight jobs on shutdown")
 		journalDir   = flag.String("journal-dir", "", "durable job journal directory; empty = no crash safety")
@@ -227,9 +227,10 @@ func run(cfg config) error {
 		Journal:          jnl,
 		Store:            store,
 		DisableWarmStart: cfg.noWarmStart,
+		MaxNetlists:      cfg.maxNetlists,
 	})
 	pool.SetTracer(tracer)
-	srv := server.New(pool, server.Config{MaxNetlists: cfg.maxNetlists, Tracer: tracer})
+	srv := server.New(pool, server.Config{Tracer: tracer})
 	if len(cfg.peers) > 0 {
 		if err := srv.ConfigureSharding(cfg.peerSelf, cfg.peers); err != nil {
 			return fmt.Errorf("configure sharding: %w", err)
@@ -237,11 +238,10 @@ func run(cfg config) error {
 		log.Printf("shard ring: %s", srv.Ring())
 	}
 	if jnl != nil {
-		stats, nets, err := pool.Restore(replay)
+		stats, err := pool.Restore(replay)
 		if err != nil {
 			return fmt.Errorf("replay journal: %w", err)
 		}
-		srv.AdoptNetlists(nets)
 		log.Printf("journal replay: %d netlists, %d jobs re-enqueued, %d recovered terminal, %d cancelled, %d failed unrecoverable",
 			stats.Netlists, stats.Reenqueued, stats.RecoveredTerminal, stats.CancelledOnReplay, stats.FailedOnReplay)
 	}

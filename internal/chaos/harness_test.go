@@ -52,7 +52,7 @@ type harness struct {
 }
 
 // boot starts a daemon over dir the way cmd/spectrald does: open the
-// journal, build the pool, replay, adopt netlists, start, serve.
+// journal, build the pool, replay, start, serve.
 func boot(t *testing.T, dir string, opts journal.Options, cfg jobs.Config) *harness {
 	t.Helper()
 	jnl, rep, err := journal.Open(dir, opts)
@@ -62,11 +62,9 @@ func boot(t *testing.T, dir string, opts journal.Options, cfg jobs.Config) *harn
 	cfg.Journal = jnl
 	pool := jobs.NewPool(cfg)
 	srv := server.New(pool, server.Config{})
-	_, nets, err := pool.Restore(rep)
-	if err != nil {
+	if _, err := pool.Restore(rep); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	srv.AdoptNetlists(nets)
 	pool.Start()
 	return &harness{pool: pool, srv: srv, ts: httptest.NewServer(srv), jnl: jnl}
 }

@@ -225,15 +225,15 @@ func TestDeltaJournalReplay(t *testing.T) {
 	jnl2, rep := openJournal(t, dir)
 	defer jnl2.Close()
 	p2 := NewPool(Config{Workers: 1, QueueDepth: 8, Journal: jnl2})
-	stats, nets, err := p2.Restore(rep)
+	stats, err := p2.Restore(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Reenqueued != 1 || stats.FailedOnReplay != 0 {
 		t.Fatalf("restore stats %+v, want 1 re-enqueued", stats)
 	}
-	if len(nets) != 2 {
-		t.Fatalf("restored %d netlists, want 2 (base + mutated)", len(nets))
+	if stats.Netlists != 2 {
+		t.Fatalf("restored %d netlists, want 2 (base + mutated)", stats.Netlists)
 	}
 	p2.Start()
 	defer p2.Shutdown(context.Background())

@@ -120,17 +120,15 @@ func (p *Pool) journalSubmit(j *Job, req Request) error {
 	if p.jnl == nil {
 		return nil
 	}
-	if err := p.jnl.AppendNetlist(req.Hash, "", netlistBody(req.Netlist), j.created.UnixNano()); err != nil {
-		p.noteJournalError()
-		return fmt.Errorf("%w: %v", ErrJournal, err)
+	if err := p.journalNetlist(req.Hash, "", req.Netlist, j.created); err != nil {
+		return err
 	}
 	if req.BaseNetlist != nil {
 		// A delta job's base body must survive too: replay re-partitions
 		// the base for the stability report, and can rebuild the mutated
 		// netlist from base+delta if the mutated record is damaged.
-		if err := p.jnl.AppendNetlist(req.BaseHash, "", netlistBody(req.BaseNetlist), j.created.UnixNano()); err != nil {
-			p.noteJournalError()
-			return fmt.Errorf("%w: %v", ErrJournal, err)
+		if err := p.journalNetlist(req.BaseHash, "", req.BaseNetlist, j.created); err != nil {
+			return err
 		}
 	}
 	if err := p.jnl.AppendDurable(journal.Record{
@@ -144,18 +142,6 @@ func (p *Pool) journalSubmit(j *Job, req Request) error {
 		return fmt.Errorf("%w: %v", ErrJournal, err)
 	}
 	return nil
-}
-
-// netlistBody returns the journal body producer for h: its text
-// serialization, built only when the journal has not recorded its hash.
-func netlistBody(h *spectral.Netlist) func() ([]byte, error) {
-	return func() ([]byte, error) {
-		var buf bytes.Buffer
-		if err := spectral.SaveNetlist(&buf, "", h); err != nil {
-			return nil, fmt.Errorf("serialize netlist: %v", err)
-		}
-		return buf.Bytes(), nil
-	}
 }
 
 // finishRecord builds the journal record for a terminal transition.
@@ -188,14 +174,6 @@ func (p *Pool) journalFinish(j *Job, st State, res *Result, err error) {
 		return
 	}
 	p.maybeCompact()
-}
-
-// RestoredNetlist is a netlist recovered from the journal, keyed by
-// content hash in Restore's return value so the HTTP layer can re-adopt
-// it into its store.
-type RestoredNetlist struct {
-	Name    string
-	Netlist *spectral.Netlist
 }
 
 // RestoreStats summarizes what Restore did with the replayed journal.
@@ -231,14 +209,16 @@ type RestoreStats struct {
 //     at restart — downtime is not charged against either budget;
 //   - jobs whose netlist or result cannot be recovered are failed with
 //     an explanatory error — never silently dropped;
+//   - the recovered netlists fill the netlist store in journal order, so
+//     the last MaxNetlists journaled are the ones it keeps;
 //   - spectrum hints prewarm the cache in the background once Start
 //     runs.
 //
-// It returns the recovered netlists so the serving layer can re-adopt
-// them. Restoring a journal-less pool is a no-op.
-func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, map[string]RestoredNetlist, error) {
+// Restoring a journal-less pool is a no-op.
+func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, error) {
 	stats := RestoreStats{Replay: rep.Stats}
-	nets := make(map[string]RestoredNetlist, len(rep.Netlists))
+	// Replayed jobs and the prewarm need their netlists, stored or not.
+	nets := make(map[string]*spectral.Netlist, len(rep.Netlists))
 	for _, nr := range rep.Netlists {
 		name, h, err := spectral.LoadNetlist(bytes.NewReader(nr.Body))
 		if err != nil || spectral.ValidateNetlist(h) != nil {
@@ -250,17 +230,18 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, map[string]Rest
 		}
 		// The journal recorded this netlist's fingerprint when it was
 		// first uploaded (and the record's CRC protected it since); seed
-		// the memo so re-adoption and re-enqueued submits don't pay a
-		// fresh O(pins) canonicalization per netlist on every restart.
+		// the memo so re-enqueued jobs don't pay a fresh O(pins)
+		// canonicalization per netlist on every restart.
 		h.SetCanonicalHash(nr.Hash)
-		nets[nr.Hash] = RestoredNetlist{Name: name, Netlist: h}
+		nets[nr.Hash] = h
+		p.putNetlist(nr.Hash, name, h)
 	}
 	stats.Netlists = len(nets)
 
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return stats, nets, ErrShuttingDown
+		return stats, ErrShuttingDown
 	}
 
 	now := time.Now()
@@ -305,17 +286,17 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, map[string]Rest
 		} else {
 			j.req = Request{Hash: jr.Hash, Kind: KindPartition}
 		}
-		rn, haveNet := nets[jr.Hash]
+		h, haveNet := nets[jr.Hash]
 		if haveNet {
-			j.req.Netlist = rn.Netlist
+			j.req.Netlist = h
 		}
 		if j.req.Kind == KindDelta && specErr == nil {
 			if bn, ok := nets[j.req.BaseHash]; ok {
-				j.req.BaseNetlist = bn.Netlist
+				j.req.BaseNetlist = bn
 				if !haveNet && j.req.Delta != nil {
 					// The mutated body was lost but base+delta survived:
 					// re-apply the delta (deterministic) to rebuild it.
-					if mut, _, err := delta.Apply(bn.Netlist, j.req.Delta); err == nil {
+					if mut, _, err := delta.Apply(bn, j.req.Delta); err == nil {
 						if h := speccache.Fingerprint(mut); h == jr.Hash {
 							j.req.Netlist = mut
 							haveNet = true
@@ -475,7 +456,7 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, map[string]Rest
 		}
 		go p.prewarm(hints, nets)
 	}
-	return stats, nets, nil
+	return stats, nil
 }
 
 func finishedTime(unixNS int64, fallback time.Time) time.Time {
@@ -487,9 +468,9 @@ func finishedTime(unixNS int64, fallback time.Time) time.Time {
 
 // prewarm recomputes journal-hinted decompositions under the pool's
 // base context so the cache is warm before clients re-submit.
-func (p *Pool) prewarm(hints []journal.SpectrumHint, nets map[string]RestoredNetlist) {
+func (p *Pool) prewarm(hints []journal.SpectrumHint, nets map[string]*spectral.Netlist) {
 	for _, h := range hints {
-		rn, ok := nets[h.Hash]
+		net, ok := nets[h.Hash]
 		if !ok || h.Pairs < 2 {
 			continue
 		}
@@ -500,7 +481,7 @@ func (p *Pool) prewarm(hints []journal.SpectrumHint, nets map[string]RestoredNet
 		if p.baseCtx.Err() != nil {
 			return
 		}
-		r := specReq{h: rn.Netlist, key: speccache.Key{Hash: h.Hash, Model: h.Model}, model: model, pairs: h.Pairs}
+		r := specReq{h: net, key: speccache.Key{Hash: h.Hash, Model: h.Model}, model: model, pairs: h.Pairs}
 		p.cache.MarkExpected(r.key)
 		// The tier ladder means a prewarm against a populated persistent
 		// store repopulates the LRU by decoding, not recomputing — the
@@ -555,8 +536,7 @@ func (p *Pool) maybeCompact() {
 	_ = p.CompactJournal()
 }
 
-// CompactJournal folds the pool's live state (plus any extra records a
-// serving layer registered via SetSnapshotExtra) into a fresh journal
+// CompactJournal folds the pool's live state into a fresh journal
 // segment, dropping superseded history. Safe to call at any time; it is
 // also the recovery path after a journal write error. The snapshot is
 // taken by the journal with appends excluded, so a submission or finish
@@ -581,23 +561,12 @@ func (p *Pool) CompactJournal() error {
 // pending and running jobs still hold netlists (finish drops them); a
 // terminal job replays from its finish record alone. The journal calls
 // it from CompactWith with appends gated; every journal write happens
-// after the state it records is published (jobs enter p.jobs before
-// journalSubmit, terminal states are set before journalFinish), so an
-// append that completed before the gate closed is always visible here.
+// after the state it records is published (netlists enter the store
+// before their append, jobs enter p.jobs before journalSubmit, terminal
+// states are set before journalFinish), so an append that completed
+// before the gate closed is always visible here.
 func (p *Pool) snapshotRecords() []journal.Record {
-	var recs []journal.Record
-	seenNet := make(map[string]bool)
-	if p.snapshotExtra != nil {
-		for _, r := range p.snapshotExtra() {
-			if r.Type == journal.TypeNetlist {
-				if seenNet[r.Hash] {
-					continue
-				}
-				seenNet[r.Hash] = true
-			}
-			recs = append(recs, r)
-		}
-	}
+	stored := p.Netlists()
 
 	p.mu.Lock()
 	ids := append([]string(nil), p.order...)
@@ -626,21 +595,29 @@ func (p *Pool) snapshotRecords() []journal.Record {
 		j.mu.Unlock()
 	}
 
-	addNet := func(hash string, h *spectral.Netlist) {
-		if h == nil || seenNet[hash] {
-			return
-		}
-		var buf bytes.Buffer
-		if err := spectral.SaveNetlist(&buf, "", h); err == nil {
-			seenNet[hash] = true
-			recs = append(recs, journal.Record{
-				Type: journal.TypeNetlist, Hash: hash, Netlist: buf.Bytes(),
-			})
-		}
+	// A live job's netlist the store has evicted goes first, so a replay
+	// installs the store's own netlists last, in their order of use.
+	var nets []NetlistInfo
+	seen := make(map[string]bool, len(stored))
+	for _, st := range stored {
+		seen[st.Hash] = true
 	}
 	for _, v := range views {
-		addNet(v.req.Hash, v.req.Netlist)
-		addNet(v.req.BaseHash, v.req.BaseNetlist)
+		for _, n := range []NetlistInfo{{Hash: v.req.Hash, h: v.req.Netlist}, {Hash: v.req.BaseHash, h: v.req.BaseNetlist}} {
+			if n.h != nil && !seen[n.Hash] {
+				seen[n.Hash], n.Stored = true, v.j.created
+				nets = append(nets, n)
+			}
+		}
+	}
+	var recs []journal.Record
+	for _, n := range append(nets, stored...) {
+		var buf bytes.Buffer
+		if spectral.SaveNetlist(&buf, n.Name, n.h) == nil {
+			recs = append(recs, journal.Record{
+				Type: journal.TypeNetlist, Hash: n.Hash, Name: n.Name, Netlist: buf.Bytes(), UnixNS: n.Stored.UnixNano(),
+			})
+		}
 	}
 	for _, v := range views {
 		recs = append(recs, journal.Record{
@@ -653,8 +630,3 @@ func (p *Pool) snapshotRecords() []journal.Record {
 	}
 	return recs
 }
-
-// SetSnapshotExtra registers a provider of extra records (typically the
-// HTTP layer's stored netlists) included in every journal compaction.
-// Call before Start.
-func (p *Pool) SetSnapshotExtra(fn func() []journal.Record) { p.snapshotExtra = fn }

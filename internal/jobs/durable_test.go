@@ -84,15 +84,15 @@ func TestJournalRestoreRoundTrip(t *testing.T) {
 	}
 	p2 := NewPool(Config{Workers: 1, QueueDepth: 8, Journal: jnl2})
 	p2.runFn = func(ctx context.Context, j *Job) (*Result, error) { return want, nil }
-	stats, nets, err := p2.Restore(rep)
+	stats, err := p2.Restore(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.RecoveredTerminal != 1 || stats.Reenqueued != 2 || stats.FailedOnReplay != 0 {
 		t.Fatalf("restore stats = %+v, want 1 recovered, 2 re-enqueued, 0 failed", stats)
 	}
-	if len(nets) != 1 {
-		t.Fatalf("restored %d netlists, want 1", len(nets))
+	if stats.Netlists != 1 {
+		t.Fatalf("restored %d netlists, want 1", stats.Netlists)
 	}
 
 	// The finished job's result survives byte-for-byte without re-running.
@@ -160,7 +160,7 @@ func TestRestoreFailsJobWithLostNetlist(t *testing.T) {
 	jnl2, rep := openJournal(t, dir)
 	defer jnl2.Close()
 	p := NewPool(Config{Workers: 1, QueueDepth: 8, Journal: jnl2})
-	stats, _, err := p.Restore(rep)
+	stats, err := p.Restore(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRestoreHonoursPendingCancel(t *testing.T) {
 	jnl2, rep := openJournal(t, dir)
 	defer jnl2.Close()
 	p2 := NewPool(Config{Workers: 1, QueueDepth: 8, Journal: jnl2})
-	stats, _, err := p2.Restore(rep)
+	stats, err := p2.Restore(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestRestoreReanchorsQueueWaitClock(t *testing.T) {
 	defer jnl2.Close()
 	p := NewPool(Config{Workers: 1, QueueDepth: 8, Journal: jnl2, MaxQueueWait: time.Minute})
 	p.runFn = func(ctx context.Context, j *Job) (*Result, error) { return &Result{}, nil }
-	stats, _, err := p.Restore(rep)
+	stats, err := p.Restore(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +796,7 @@ func TestAutoCompactionPreservesState(t *testing.T) {
 	jnl2, rep := openJournal(t, dir)
 	defer jnl2.Close()
 	p2 := NewPool(Config{Workers: 1, QueueDepth: 8, Journal: jnl2})
-	stats, _, err := p2.Restore(rep)
+	stats, err := p2.Restore(rep)
 	if err != nil {
 		t.Fatal(err)
 	}

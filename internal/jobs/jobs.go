@@ -6,7 +6,7 @@
 // internal/resilience eigensolver ladder), and a content-addressed
 // spectrum cache (internal/speccache) so repeated requests against the
 // same netlist reuse one eigendecomposition across methods, K values
-// and d-sweeps.
+// and d-sweeps. It also owns the daemon's netlist store (netlists.go).
 //
 // Lifecycle: a submitted job is pending until a worker picks it up,
 // running while the pipeline executes, and ends done, failed or

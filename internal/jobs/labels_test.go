@@ -99,7 +99,7 @@ func TestRestoreDecodesIntAssignRecord(t *testing.T) {
 	jnl2, rep := openJournal(t, dir)
 	defer jnl2.Close()
 	p2 := NewPool(Config{Workers: 1, QueueDepth: 4, Journal: jnl2})
-	if _, _, err := p2.Restore(rep); err != nil {
+	if _, err := p2.Restore(rep); err != nil {
 		t.Fatal(err)
 	}
 	restored, ok := p2.Job(j.ID())

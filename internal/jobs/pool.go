@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -71,6 +72,9 @@ type Config struct {
 	// cold in tests, so the default is on. Default false (warm starts
 	// enabled).
 	DisableWarmStart bool
+	// MaxNetlists bounds the netlist store (see AddNetlist), which
+	// evicts the least recently used netlist first. Default 128.
+	MaxNetlists int
 }
 
 func (c Config) withDefaults() Config {
@@ -91,6 +95,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 1024
+	}
+	if c.MaxNetlists <= 0 {
+		c.MaxNetlists = 128
 	}
 	return c
 }
@@ -177,10 +184,15 @@ type Pool struct {
 	finishSince   int  // terminal records since the last compaction
 	compacting    bool // a compaction is in flight
 	restored      *RestoreStats
-	snapshotExtra func() []journal.Record
 	waitAgg       StageStats
 	specAgg       StageStats
 	solveAgg      StageStats
+
+	// The netlist store (netlists.go); netLRU runs from least to most
+	// recently used *NetlistInfo.
+	netMu    sync.Mutex
+	netLRU   list.List
+	netItems map[string]*list.Element
 }
 
 // NewPool creates a stopped pool; call Start to launch the workers.
@@ -190,6 +202,7 @@ func NewPool(cfg Config) *Pool {
 	p := &Pool{
 		cfg:        cfg,
 		cache:      speccache.New(cfg.CacheEntries, cfg.Store),
+		netItems:   make(map[string]*list.Element),
 		queue:      make(chan *Job, cfg.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,

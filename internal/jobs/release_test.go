@@ -168,7 +168,7 @@ func TestFinishedJobsReleaseNetlistsAcrossCompaction(t *testing.T) {
 	replay := func(dir string) (*Pool, *journal.Journal) {
 		jnl, rep := openJournal(t, dir)
 		p := NewPool(Config{Workers: 1, QueueDepth: 8, Journal: jnl})
-		stats, _, err := p.Restore(rep)
+		stats, err := p.Restore(rep)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,6 @@ import (
 // Prometheus text exposition format — scrapable, and greppable by eye.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.pool.Stats()
-	s.mu.Lock()
-	stored := len(s.netlists)
-	s.mu.Unlock()
 
 	var b strings.Builder
 	gauge := func(name, help string, v any) {
@@ -168,7 +165,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	gauge("spectrald_netlists_stored", "Netlists in the content-addressed store.", stored)
+	gauge("spectrald_netlists_stored", "Netlists in the content-addressed store.", len(s.pool.Netlists()))
 	gauge("spectrald_uptime_seconds", "Seconds since the server started.", int64(time.Since(s.start).Seconds()))
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -60,10 +60,8 @@ func newJournaledServer(t *testing.T, dir string, fail *atomic.Bool, cfg jobs.Co
 	cfg.Journal = jnl
 	pool := jobs.NewPool(cfg)
 	srv := New(pool, Config{})
-	if _, nets, err := pool.Restore(rep); err != nil {
+	if _, err := pool.Restore(rep); err != nil {
 		t.Fatal(err)
-	} else {
-		srv.AdoptNetlists(nets)
 	}
 	pool.Start()
 	ts := httptest.NewServer(srv)
@@ -137,7 +135,7 @@ func TestDerivedRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stored storedNetlist
+	var stored jobs.NetlistInfo
 	decode(t, resp, &stored)
 	body := fmt.Sprintf(`{"netlist":%q,"method":"melo","k":2,"d":30}`, stored.Hash)
 
@@ -251,6 +249,9 @@ func TestJournalUnavailable503(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("new upload with failed journal = %d, want 503", resp.StatusCode)
+	}
+	if got := listNetlists(t, ts.URL); len(got) != 1 || got[0] != hash {
+		t.Errorf("store lists %v after a refused upload, want only %s", got, hash)
 	}
 	// So must a submission: a job the journal cannot record would be
 	// silently lost by a crash, so the server must never ack it.

@@ -1,6 +1,7 @@
 // Package server is the HTTP/JSON surface of the spectrald daemon: a
-// content-addressed netlist store plus a thin REST layer over the
-// internal/jobs worker pool and its spectrum cache.
+// thin REST layer that parses and validates requests and maps outcomes
+// to status codes over the internal/jobs worker pool, which owns the
+// content-addressed netlist store and the spectrum cache.
 //
 // API (all bodies JSON unless noted):
 //
@@ -10,7 +11,8 @@
 //	                               ?format=text|hmetis) or generate a
 //	                               benchmark (JSON {"benchmark","scale","seed"});
 //	                               returns its content hash
-//	GET  /v1/netlists              list stored netlists
+//	GET  /v1/netlists              list stored netlists, least recently
+//	                               used first
 //	GET  /v1/netlists/{hash}       one stored netlist's statistics
 //	                               (?format=text exports the full body)
 //	POST /v1/netlists/{hash}/delta apply an ECO delta to a stored base
@@ -39,23 +41,17 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	spectral "repro"
 	"repro/internal/delta"
 	"repro/internal/jobs"
-	"repro/internal/journal"
-	"repro/internal/speccache"
 	"repro/internal/trace"
 )
 
 // Config sizes the server. Zero fields select the noted defaults.
 type Config struct {
-	// MaxNetlists bounds the content-addressed netlist store; the
-	// oldest uploads are evicted first. Default 128.
-	MaxNetlists int
 	// MaxBodyBytes bounds request bodies. Default 64 MiB.
 	MaxBodyBytes int64
 	// Tracer, when set, is the daemon's tracer: /metrics renders its
@@ -64,24 +60,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxNetlists <= 0 {
-		c.MaxNetlists = 128
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
 	return c
-}
-
-type storedNetlist struct {
-	Hash    string    `json:"hash"`
-	Name    string    `json:"name,omitempty"`
-	Modules int       `json:"modules"`
-	Nets    int       `json:"nets"`
-	Pins    int       `json:"pins"`
-	Stored  time.Time `json:"stored"`
-
-	h *spectral.Netlist
 }
 
 // Server is the spectrald HTTP handler. Create with New; it implements
@@ -102,25 +84,15 @@ type Server struct {
 	peerFetchMisses   atomic.Uint64
 	adoptedSpectra    atomic.Uint64
 	adoptRejects      atomic.Uint64
-
-	mu       sync.Mutex
-	netlists map[string]*storedNetlist
-	netOrder []string // insertion order for eviction
 }
 
-// New wires a server over a pool (started, or about to be). When the
-// pool is durable, uploaded netlists are journaled and included in
-// journal compactions so a restarted daemon can serve the same hashes.
+// New wires a server over a pool (started, or about to be).
 func New(pool *jobs.Pool, cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg.withDefaults(),
-		pool:     pool,
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		netlists: make(map[string]*storedNetlist),
-	}
-	if pool.Journal() != nil {
-		pool.SetSnapshotExtra(s.snapshotNetlists)
+		cfg:   cfg.withDefaults(),
+		pool:  pool,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -223,116 +195,20 @@ func (s *Server) handlePostNetlist(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "invalid netlist: %v", err)
 		return
 	}
-	st := s.store(name, h)
-	// Journal the upload before acknowledging it: a client that got a
-	// 201 must find the hash usable after a daemon restart, so a netlist
-	// that cannot be journaled — whether serialization or the append
-	// failed — must not be acknowledged as durable.
-	if jnl := s.pool.Journal(); jnl != nil {
-		var saveErr error
-		err := jnl.AppendNetlist(st.Hash, name, func() ([]byte, error) {
-			var buf bytes.Buffer
-			saveErr = spectral.SaveNetlist(&buf, name, h)
-			return buf.Bytes(), saveErr
-		}, time.Now().UnixNano())
-		if saveErr != nil {
-			writeError(w, http.StatusInternalServerError, "journal netlist: %v", saveErr)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "journal unavailable: %v", err)
-			return
-		}
+	st, err := s.pool.AddNetlist(name, h)
+	if err != nil {
+		s.writePoolError(w, err, http.StatusInternalServerError)
+		return
 	}
 	writeJSON(w, http.StatusCreated, st)
 }
 
-// store registers the netlist under its content hash, evicting the
-// oldest stored netlists beyond capacity. Re-uploading is idempotent.
-func (s *Server) store(name string, h *spectral.Netlist) *storedNetlist {
-	hash := speccache.Fingerprint(h)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.netlists[hash]; ok {
-		return st
-	}
-	stats := h.Stats()
-	st := &storedNetlist{
-		Hash:    hash,
-		Name:    name,
-		Modules: stats.Modules,
-		Nets:    stats.Nets,
-		Pins:    stats.Pins,
-		Stored:  time.Now(),
-		h:       h,
-	}
-	s.netlists[hash] = st
-	s.netOrder = append(s.netOrder, hash)
-	for len(s.netOrder) > s.cfg.MaxNetlists {
-		oldest := s.netOrder[0]
-		s.netOrder = s.netOrder[1:]
-		delete(s.netlists, oldest)
-	}
-	return st
-}
-
-// AdoptNetlists installs netlists recovered by a journal replay (see
-// jobs.Pool.Restore) into the content-addressed store, so clients can
-// reference pre-crash hashes immediately after a restart. Call before
-// serving.
-func (s *Server) AdoptNetlists(nets map[string]jobs.RestoredNetlist) {
-	for _, rn := range nets {
-		s.store(rn.Name, rn.Netlist)
-	}
-}
-
-// snapshotNetlists contributes the store's contents to journal
-// compactions: a stored netlist must survive a compaction even when no
-// live job references it.
-func (s *Server) snapshotNetlists() []journal.Record {
-	s.mu.Lock()
-	stored := make([]*storedNetlist, 0, len(s.netOrder))
-	for _, hash := range s.netOrder {
-		if st, ok := s.netlists[hash]; ok {
-			stored = append(stored, st)
-		}
-	}
-	s.mu.Unlock()
-	recs := make([]journal.Record, 0, len(stored))
-	for _, st := range stored {
-		var buf bytes.Buffer
-		if err := spectral.SaveNetlist(&buf, st.Name, st.h); err != nil {
-			continue
-		}
-		recs = append(recs, journal.Record{
-			Type: journal.TypeNetlist, Hash: st.Hash, Name: st.Name,
-			Netlist: buf.Bytes(), UnixNS: st.Stored.UnixNano(),
-		})
-	}
-	return recs
-}
-
-func (s *Server) lookup(hash string) (*storedNetlist, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.netlists[hash]
-	return st, ok
-}
-
 func (s *Server) handleListNetlists(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	list := make([]*storedNetlist, 0, len(s.netOrder))
-	for _, hash := range s.netOrder {
-		if st, ok := s.netlists[hash]; ok {
-			list = append(list, st)
-		}
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"netlists": list})
+	writeJSON(w, http.StatusOK, map[string]any{"netlists": s.pool.Netlists()})
 }
 
 func (s *Server) handleGetNetlist(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookup(r.PathValue("hash"))
+	h, st, ok := s.pool.Netlist(r.PathValue("hash"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown netlist %q", r.PathValue("hash"))
 		return
@@ -345,7 +221,7 @@ func (s *Server) handleGetNetlist(w http.ResponseWriter, r *http.Request) {
 		// of POST /v1/netlists, so a stored (or delta-derived) netlist
 		// can be fed to offline tools or another daemon.
 		var buf bytes.Buffer
-		if err := spectral.SaveNetlist(&buf, st.Name, st.h); err != nil {
+		if err := spectral.SaveNetlist(&buf, st.Name, h); err != nil {
 			writeError(w, http.StatusInternalServerError, "serialize netlist: %v", err)
 			return
 		}
@@ -415,7 +291,7 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	st, ok := s.lookup(req.Netlist)
+	h, st, ok := s.pool.Netlist(req.Netlist)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown netlist %q (upload it via POST /v1/netlists first)", req.Netlist)
 		return
@@ -425,7 +301,7 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	jr := jobs.Request{Netlist: st.h, Hash: st.Hash, Timeout: timeout}
+	jr := jobs.Request{Netlist: h, Hash: st.Hash, Timeout: timeout}
 	switch req.Kind {
 	case "", "partition":
 		jr.Kind = jobs.KindPartition
@@ -442,8 +318,9 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown kind %q (want partition|order)", req.Kind)
 		return
 	}
-	j, ok := s.submitJob(w, jr)
-	if !ok {
+	j, err := s.pool.Submit(jr)
+	if err != nil {
+		s.writePoolError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.Status())
@@ -473,11 +350,11 @@ func partitionOptions(req jobRequest) (spectral.Options, error) {
 	}, nil
 }
 
-// submitJob submits to the pool and maps submission failures onto HTTP
-// semantics (429 with backoff, 503 draining/journal, 400 validation).
-// It reports false after writing the error response.
-func (s *Server) submitJob(w http.ResponseWriter, jr jobs.Request) (*jobs.Job, bool) {
-	j, err := s.pool.Submit(jr)
+// writePoolError maps a pool failure onto HTTP: 429 with backoff, 503
+// while shutting down or when the journal cannot make the request
+// durable (so it was not accepted), and code for anything else, such as
+// a request the pool rejects as invalid.
+func (s *Server) writePoolError(w http.ResponseWriter, err error, code int) {
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		// Derived backoff: queued work ahead of the client in
@@ -490,20 +367,13 @@ func (s *Server) submitJob(w http.ResponseWriter, jr jobs.Request) (*jobs.Job, b
 			"error":             "queue full, retry later",
 			"retryAfterSeconds": secs,
 		})
-		return nil, false
 	case errors.Is(err, jobs.ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, "shutting down")
-		return nil, false
 	case errors.Is(err, jobs.ErrJournal):
-		// The job could not be made durable, so it was not accepted;
-		// the client must not treat it as submitted.
 		writeError(w, http.StatusServiceUnavailable, "journal unavailable: %v", err)
-		return nil, false
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, false
+	default:
+		writeError(w, code, "%v", err)
 	}
-	return j, true
 }
 
 // deltaRequest is the JSON body of an incremental (ECO) submission: the
@@ -525,7 +395,7 @@ func (s *Server) handlePostDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	base, ok := s.lookup(r.PathValue("hash"))
+	baseH, base, ok := s.pool.Netlist(r.PathValue("hash"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown netlist %q (upload it via POST /v1/netlists first)", r.PathValue("hash"))
 		return
@@ -549,27 +419,32 @@ func (s *Server) handlePostDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mut, reach, err := delta.Apply(base.h, req.Delta)
+	mut, reach, err := delta.Apply(baseH, req.Delta)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "apply delta: %v", err)
 		return
 	}
-	mutSt := s.store(base.Name, mut)
-	j, ok := s.submitJob(w, jobs.Request{
+	mutSt, err := s.pool.AddNetlist(base.Name, mut)
+	if err != nil {
+		s.writePoolError(w, err, http.StatusInternalServerError)
+		return
+	}
+	j, err := s.pool.Submit(jobs.Request{
 		Netlist:     mut,
 		Hash:        mutSt.Hash,
 		Kind:        jobs.KindDelta,
 		Opts:        opts,
 		Timeout:     timeout,
 		BaseHash:    base.Hash,
-		BaseNetlist: base.h,
+		BaseNetlist: baseH,
 		Delta:       req.Delta,
 	})
-	if !ok {
+	if err != nil {
+		s.writePoolError(w, err, http.StatusBadRequest)
 		return
 	}
-	// The job's durable journal entry (written inside Submit) carries
-	// both netlist bodies, so the hashes in this acknowledgement stay
+	// Both netlist bodies are journaled by now (the store's and the
+	// job's entries), so the hashes in this acknowledgement stay
 	// resolvable across a daemon restart.
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"job":     j.Status(),

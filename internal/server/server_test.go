@@ -60,7 +60,7 @@ func uploadNetlist(t *testing.T, ts *httptest.Server) string {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("upload status = %d", resp.StatusCode)
 	}
-	var st storedNetlist
+	var st jobs.NetlistInfo
 	decode(t, resp, &st)
 	if st.Hash == "" || st.Modules == 0 {
 		t.Fatalf("stored = %+v", st)
@@ -213,7 +213,7 @@ func TestGenerateBenchmarkUpload(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("generate = %d", resp.StatusCode)
 	}
-	var st storedNetlist
+	var st jobs.NetlistInfo
 	decode(t, resp, &st)
 	if st.Name != "prim1" || st.Modules == 0 {
 		t.Errorf("stored = %+v", st)
@@ -224,7 +224,7 @@ func TestGenerateBenchmarkUpload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st2 storedNetlist
+	var st2 jobs.NetlistInfo
 	decode(t, resp, &st2)
 	if st2.Hash == st.Hash {
 		t.Error("different seeds produced the same content hash")
@@ -275,7 +275,7 @@ func TestBackpressure429(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("generate = %d", resp.StatusCode)
 	}
-	var stored storedNetlist
+	var stored jobs.NetlistInfo
 	decode(t, resp, &stored)
 	body := fmt.Sprintf(`{"netlist":%q,"method":"melo","k":2,"d":30}`, stored.Hash)
 	var ids []string
@@ -355,7 +355,7 @@ func TestJobsAndNetlistsListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nl struct {
-		Netlists []storedNetlist `json:"netlists"`
+		Netlists []jobs.NetlistInfo `json:"netlists"`
 	}
 	decode(t, resp, &nl)
 	if len(nl.Netlists) != 1 || nl.Netlists[0].Hash != hash {

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	spectral "repro"
 	"repro/internal/shard"
 	"repro/internal/speccache"
 )
@@ -211,10 +210,7 @@ func (s *Server) handlePutSpectrum(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
 		return
 	}
-	var h *spectral.Netlist
-	if st, ok := s.lookup(hash); ok {
-		h = st.h
-	}
+	h, _, _ := s.pool.Netlist(hash)
 	if err := s.pool.Cache().Adopt(speccache.Key{Hash: hash, Model: model}, pairs, data, h); err != nil {
 		s.adoptRejects.Add(1)
 		status := http.StatusUnprocessableEntity

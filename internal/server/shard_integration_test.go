@@ -37,7 +37,7 @@ func uploadText(t *testing.T, ts *httptest.Server, text string) string {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("upload status = %d", resp.StatusCode)
 	}
-	var st storedNetlist
+	var st jobs.NetlistInfo
 	decode(t, resp, &st)
 	return st.Hash
 }
@@ -275,5 +275,10 @@ func TestSpectraOfferWithoutNetlist(t *testing.T) {
 	}
 	if e, ok, _ := store.Get(specstore.Key{Hash: hash, Model: "partitioning-specific"}); !ok || !bytes.Equal(e.Data, data) {
 		t.Error("offered bytes did not land in the store")
+	}
+	// With no netlist to decode against, the payload's header is all that
+	// can be checked: a malformed one is refused, not stored.
+	if code := putSpectrum(t, stored, hash, 2, []byte("not a spectrum")); code != http.StatusUnprocessableEntity {
+		t.Errorf("offer with a malformed header = %d, want 422", code)
 	}
 }

@@ -1,9 +1,12 @@
 package speccache
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	spectral "repro"
 	"repro/internal/specstore"
@@ -158,8 +161,11 @@ func (c *Cache) Bytes(key Key, pairs int) ([]byte, int, bool) {
 // matching netlist h, the payload is decoded (and thereby validated)
 // against it and seeded into the LRU; either way it lands in the store,
 // where a later read re-validates it against the real netlist before
-// use — a peer can waste disk, never poison an answer. With neither h
-// nor a store the offer has nowhere to go: ErrUnkept.
+// use — a peer can waste disk, never poison an answer. It is stored
+// under the pair count it holds, not the one the offer claims: the store
+// keeps a key's largest count, so an overstated one would refuse every
+// later write of the key. With neither h nor a store the offer has
+// nowhere to go: ErrUnkept.
 func (c *Cache) Adopt(key Key, pairs int, data []byte, h *spectral.Netlist) error {
 	if len(data) == 0 {
 		return fmt.Errorf("speccache: adopt spectrum: empty payload")
@@ -167,6 +173,7 @@ func (c *Cache) Adopt(key Key, pairs int, data []byte, h *spectral.Netlist) erro
 	if h == nil && c.store == nil {
 		return ErrUnkept
 	}
+	var err error
 	if h != nil {
 		sp, err := decode(data, h, pairs)
 		if err != nil {
@@ -176,9 +183,30 @@ func (c *Cache) Adopt(key Key, pairs int, data []byte, h *spectral.Netlist) erro
 		c.mu.Lock()
 		c.insert(key, Entry{Value: sp, Pairs: pairs})
 		c.mu.Unlock()
+	} else if pairs, err = headerPairs(data); err != nil {
+		return fmt.Errorf("speccache: adopt spectrum: %w", err)
 	}
 	if c.store == nil {
 		return nil
 	}
 	return c.store.Put(key, specstore.Entry{Pairs: pairs, Data: data})
+}
+
+// headerPairs is the part of DecodeSpectrum that needs no netlist: the
+// pair count of EncodeSpectrum's layout (magic, uvarint modules, model
+// and pairs, then (1 + modules) × pairs 8-byte floats), frame checked.
+func headerPairs(data []byte) (int, error) {
+	rest, ok := bytes.CutPrefix(data, []byte("SPECV1\n"))
+	var hdr [3]uint64 // modules, model, pairs
+	for i := 0; ok && i < len(hdr); i++ {
+		var k int
+		hdr[i], k = binary.Uvarint(rest)
+		ok = k > 0 && hdr[i] <= math.MaxInt32
+		rest = rest[max(k, 0):]
+	}
+	modules, pairs, n := hdr[0], hdr[2], uint64(len(rest))
+	if !ok || pairs < 1 || pairs > modules || n%8 != 0 || n/8 != pairs*(modules+1) {
+		return 0, errors.New("malformed spectrum header")
+	}
+	return int(pairs), nil
 }
