@@ -3,6 +3,7 @@ package eigen_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,10 +52,18 @@ func (s stall) StartAttempt() (eigen.FaultDirective, error) {
 }
 func (stall) AtStep(int, []float64) {}
 
+// vectorTol bounds each Ritz vector component's distance from the
+// frozen reference's. The production solver rebuilds the tridiagonal's
+// eigenvectors by replaying the QL's rotations backwards, where the
+// reference accumulates the full eigenvector matrix: the same
+// rotations multiplied in another order, so the vectors agree to
+// rounding (measured ≤ 8.7e-16 on these corpora), not bit for bit.
+const vectorTol = 1e-14
+
 // pinLanczos solves a with the production solver and the frozen
 // reference and fails unless both stop at the same step (the
-// eigen.matvec count) with the same error and the same eigenpairs,
-// bit for bit. It returns the step.
+// eigen.matvec count) with the same error, bit-identical eigenvalues
+// and eigenvectors within vectorTol. It returns the step.
 func pinLanczos(t *testing.T, label string, a linalg.Operator, d int, opts eigen.LanczosOptions) int {
 	t.Helper()
 	tr := trace.New()
@@ -69,8 +78,19 @@ func pinLanczos(t *testing.T, label string, a linalg.Operator, d int, opts eigen
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: decomposition %v, reference %v", label, got != nil, want != nil)
 	}
-	if got != nil && (!eigen.SameBits(got.Values, want.Values) || !eigen.SameBits(got.Vectors.Data, want.Vectors.Data)) {
-		t.Fatalf("%s: eigenpairs differ from the reference", label)
+	if got == nil {
+		return steps
+	}
+	if !eigen.SameBits(got.Values, want.Values) {
+		t.Fatalf("%s: eigenvalues differ from the reference", label)
+	}
+	if len(got.Vectors.Data) != len(want.Vectors.Data) {
+		t.Fatalf("%s: %d eigenvector components, reference %d", label, len(got.Vectors.Data), len(want.Vectors.Data))
+	}
+	for i, x := range got.Vectors.Data {
+		if diff := math.Abs(x - want.Vectors.Data[i]); diff > vectorTol {
+			t.Fatalf("%s: eigenvector component %d off the reference by %.3g", label, i, diff)
+		}
 	}
 	return steps
 }

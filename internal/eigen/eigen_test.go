@@ -188,7 +188,7 @@ func TestSymTridiagEig(t *testing.T) {
 		sub[i] = -1
 	}
 	var ws tridiagWS
-	vals, vecs, err := ws.eig(diag, sub)
+	vals, vecs, err := ws.ritz(diag, sub, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,23 @@ func TestSymTridiagEig(t *testing.T) {
 			t.Errorf("λ_%d = %v, want %v", k, vals[k-1], want)
 		}
 	}
-	if vecs == nil || vecs.Rows != n || vecs.Cols != n {
-		t.Fatal("eigenvector matrix has wrong shape")
+	if len(vecs) != n*n {
+		t.Fatalf("%d eigenvector components, want %d", len(vecs), n*n)
+	}
+	// Each column is an eigenvector: T·v = λ·v.
+	for q := 0; q < n; q++ {
+		for i := 0; i < n; i++ {
+			tv := diag[i] * vecs[i*n+q]
+			if i > 0 {
+				tv += sub[i-1] * vecs[(i-1)*n+q]
+			}
+			if i < n-1 {
+				tv += sub[i] * vecs[(i+1)*n+q]
+			}
+			if r := math.Abs(tv - vals[q]*vecs[i*n+q]); r > 1e-12 {
+				t.Fatalf("pair %d: residual %v at row %d", q, r, i)
+			}
+		}
 	}
 }
 

@@ -291,8 +291,8 @@ func LanczosCtx(ctx context.Context, a linalg.Operator, d int, opts *LanczosOpti
 		invariant := beta <= 1e-12*scale
 		if j >= d && (j%checkEvery == 0 || j == o.MaxDim || j == n || (invariant && j+1 >= n)) {
 			// The check needs only the Ritz values and the last row of
-			// the tridiagonal's eigenvectors (O(j²)); the full
-			// eigenvectors are built once, for the pairs returned.
+			// the tridiagonal's eigenvectors (O(j²)); the eigenvectors
+			// are built once, for the pairs returned.
 			vals, last, err := ws.lastRow(alphas, betas[:j-1])
 			if err != nil {
 				return nil, err
@@ -442,12 +442,13 @@ func convergedPrefix(last []float64, beta float64, limit int, tol float64) int {
 	return limit
 }
 
-// ritzPairs runs the full tridiagonal eigendecomposition of T =
-// tridiag(betas, alphas, betas) once and assembles the d smallest Ritz
-// pairs from it and the Lanczos basis. The result is freshly allocated
-// — nothing aliases the basis, the workspace, or the arena.
+// ritzPairs computes the Ritz values of T = tridiag(betas, alphas,
+// betas) and the eigenvectors of its d smallest once (tridiagWS.ritz),
+// and assembles the d smallest Ritz pairs from them and the Lanczos
+// basis. The result is freshly allocated — nothing aliases the basis,
+// the workspace, or the arena.
 func ritzPairs(ws *tridiagWS, basis [][]float64, alphas, betas []float64, d int, ar *linalg.Arena) (*Decomposition, error) {
-	vals, svecs, err := ws.eig(alphas, betas)
+	vals, svecs, err := ws.ritz(alphas, betas, d)
 	if err != nil {
 		return nil, err
 	}
@@ -456,8 +457,8 @@ func ritzPairs(ws *tridiagWS, basis [][]float64, alphas, betas []float64, d int,
 	col := ar.Vec()
 	for j := 0; j < d; j++ {
 		linalg.Zero(col)
-		for k, s := range svecs.Row(j) {
-			linalg.Axpy(s, basis[k], col)
+		for k, b := range basis {
+			linalg.Axpy(svecs[k*d+j], b, col)
 		}
 		linalg.Normalize(col)
 		for i, x := range col {

@@ -10,8 +10,9 @@
 //     the smallest d eigenpairs of a large sparse symmetric operator. This
 //     is the stdlib-only substitute for the LASO2 library the paper used.
 //     Its convergence checks read the Ritz values and the last row of the
-//     tridiagonal's eigenvectors (O(j²) at Krylov size j); the full
-//     eigenvectors (O(j³)) are computed once per solve.
+//     tridiagonal's eigenvectors (O(j²) at Krylov size j); the d Ritz
+//     vectors it returns are rebuilt from a log of one more QL's
+//     rotations (O(d·j²)), so the j×j eigenvector matrix is never built.
 //
 // The package also provides a Jacobi-preconditioned conjugate-gradient
 // solver for symmetric positive-definite systems, used by PARABOLI's
@@ -122,7 +123,7 @@ func tred2(z *linalg.Dense, d, e []float64) {
 //
 // This is a direct port of the EISPACK tql2 routine.
 func tql2(d, e []float64, zt *linalg.Dense) error {
-	return implicitQL(d, e, zt.Data)
+	return implicitQL(d, e, zt.Data, nil)
 }
 
 // tql2Row is tql2 accumulating a single row of the eigenvector matrix:
@@ -133,14 +134,15 @@ func tql2(d, e []float64, zt *linalg.Dense) error {
 // d and zr are bit-identical to a full tql2's: the d/e recurrence never
 // reads z, and each row of z is rotated independently of the others.
 func tql2Row(d, e, zr []float64) error {
-	return implicitQL(d, e, zr)
+	return implicitQL(d, e, zr, nil)
 }
 
 // implicitQL is the shared body of tql2 and tql2Row. zt is the
 // transposed eigenvector matrix: len(d) rows of any common width (n
-// for tql2, 1 for tql2Row); each Givens rotation of the QL sweep
-// combines two of its rows.
-func implicitQL(d, e, zt []float64) error {
+// for tql2, 1 for tql2Row, 0 for none); each Givens rotation of the QL
+// sweep combines two of its rows. A non-nil log records every rotation
+// applied, in order (see rotLog).
+func implicitQL(d, e, zt []float64, log *rotLog) error {
 	n := len(d)
 	if n == 1 {
 		return nil
@@ -174,7 +176,8 @@ func implicitQL(d, e, zt []float64) error {
 			s, c := 1.0, 1.0
 			p := 0.0
 			brokeEarly := false
-			for i := m - 1; i >= l; i-- {
+			i := m - 1
+			for ; i >= l; i-- {
 				f := s * e[i]
 				b := c * e[i]
 				r = math.Hypot(f, g)
@@ -198,6 +201,14 @@ func implicitQL(d, e, zt []float64) error {
 					zn[k] = s*zi[k] + c*f
 					zi[k] = c*zi[k] - s*f
 				}
+				if log != nil {
+					log.cs = append(log.cs, c, s)
+				}
+			}
+			if log != nil && i < m-1 {
+				// Rotations m−1 down to i+1 were applied, the underflow
+				// break included.
+				log.sweeps = append(log.sweeps, rotSweep{top: int32(m - 1), count: int32(m - 1 - i)})
 			}
 			if brokeEarly {
 				continue
@@ -210,6 +221,40 @@ func implicitQL(d, e, zt []float64) error {
 	return nil
 }
 
+// rotLog is the Givens rotations of one implicit-QL run, in the order
+// they were applied: sweep after sweep, and within a sweep at rows top,
+// top−1, …, top−count+1. The eigenvector matrix that run would have
+// built is Z = G₁·G₂·…·G_R, so column p of it, the eigenvector for
+// d[p], is G₁·(G₂·(…(G_R·e_p))): replaying the log backwards on e_p
+// yields one eigenvector at O(R), where accumulating Z costs O(n·R).
+type rotLog struct {
+	cs     []float64 // c, s of each rotation, interleaved
+	sweeps []rotSweep
+}
+
+// rotSweep bounds the rotations one QL sweep applied.
+type rotSweep struct{ top, count int32 }
+
+// replayTransposed applies the logged rotations, last first, to the
+// columns of x: len(x)/w rows of width w, one column per vector, each
+// rotation combining two rows. It is tql2's row update read backwards
+// and transposed.
+func (lg *rotLog) replayTransposed(x []float64, w int) {
+	k := len(lg.cs)
+	for sw := len(lg.sweeps) - 1; sw >= 0; sw-- {
+		top := int(lg.sweeps[sw].top)
+		for i := top - int(lg.sweeps[sw].count) + 1; i <= top; i++ {
+			k -= 2
+			c, s := lg.cs[k], lg.cs[k+1]
+			xi, xn := x[i*w:(i+1)*w], x[(i+1)*w:(i+2)*w]
+			for q, f := range xn {
+				xn[q] = c*f - s*xi[q]
+				xi[q] = c*xi[q] + s*f
+			}
+		}
+	}
+}
+
 // unitRoundoff is the threshold used for off-diagonal negligibility tests.
 const unitRoundoff = 1e-15
 
@@ -217,11 +262,12 @@ const unitRoundoff = 1e-15
 // eigendecompositions of the Lanczos iteration. Convergence checks,
 // every checkEvery steps, run lastRow: Ritz values and the last row of
 // the eigenvector matrix, O(j²), with no allocation once the workspace
-// has grown to the Krylov budget. The full eigenvector matrix, O(j³),
-// is built by eig only for the Ritz vectors a solve returns. The
-// returned slices ALIAS the workspace and are valid only until the
-// next call — callers must copy anything that outlives it (ritzPairs
-// copies into fresh result storage).
+// has grown to the Krylov budget. The step a solve returns from runs
+// ritz: the same values and only the d wanted eigenvectors, rebuilt
+// from a log of the QL's rotations at O(j²) plus O(d·j²), so no step of
+// a solve is O(j³). The returned values ALIAS the workspace and are
+// valid only until the next call — callers must copy anything that
+// outlives it (ritzPairs copies into fresh result storage).
 type tridiagWS struct {
 	d, e, row []float64
 }
@@ -269,24 +315,40 @@ func (ws *tridiagWS) lastRow(diag, sub []float64) (vals, last []float64, err err
 	return ws.d, ws.row, nil
 }
 
-// eig computes all eigenvalues of the tridiagonal, sorted ascending,
-// and the matching eigenvectors as the rows of vecs. The eigenvector
-// matrix is freshly allocated, sized exactly: a Lanczos solve calls eig
-// once, at the step it returns from.
-func (ws *tridiagWS) eig(diag, sub []float64) (vals []float64, vecs *linalg.Dense, err error) {
+// ritz computes the eigenvalues of the tridiagonal, sorted ascending
+// (bit-identical to lastRow's), and the eigenvectors of the want
+// smallest: component k of the q-th smallest's eigenvector is
+// vecs[k·want+q]. It runs the QL once more, logging its rotations, and
+// replays them on the want unit vectors of the slots
+// sortEigenAscending ranks first, so each vector is tql2's eigenvector
+// up to rounding. The log and vecs are freshly allocated, sized once: a
+// Lanczos solve calls ritz once, at the step it returns from.
+func (ws *tridiagWS) ritz(diag, sub []float64, want int) (vals, vecs []float64, err error) {
 	if err := ws.load(diag, sub); err != nil {
 		return nil, nil, err
 	}
 	n := len(diag)
-	zt := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		zt.Data[i*n+i] = 1
-	}
-	if err := tql2(ws.d, ws.e, zt); err != nil {
+	// A QL of a Lanczos tridiagonal applies 1.02–1.05·n² rotations in
+	// ~2n sweeps (the cold-flat circuits at n = 1000 and at full size);
+	// a longer run grows the log by append.
+	rots := n*n + n*n/10
+	log := rotLog{cs: make([]float64, 0, 2*rots), sweeps: make([]rotSweep, 0, 2*n)}
+	if err := implicitQL(ws.d, ws.e, nil, &log); err != nil {
 		return nil, nil, err
 	}
-	sortEigenAscending(ws.d, zt.Data)
-	return ws.d, zt, nil
+	// Rank the slots exactly as sortEigenAscending ranks the rows of a
+	// full eigenvector matrix: carry each slot's index as its row.
+	slots := ws.row[:n]
+	for i := range slots {
+		slots[i] = float64(i)
+	}
+	sortEigenAscending(ws.d, slots)
+	vecs = make([]float64, n*want)
+	for q := 0; q < want; q++ {
+		vecs[int(slots[q])*want+q] = 1
+	}
+	log.replayTransposed(vecs, want)
+	return ws.d, vecs, nil
 }
 
 // sortEigenAscending sorts eigenvalues in d ascending and permutes the

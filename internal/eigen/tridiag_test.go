@@ -161,12 +161,51 @@ func TestTQL2RowMatchesFullTQL2(t *testing.T) {
 		if !SameBits(vals, dRef) || !SameBits(last, z.Row(n-1)) {
 			t.Fatalf("%s n=%d: lastRow differs from the sorted full QL", c.name, n)
 		}
-		vals, vecs, err := ws.eig(c.diag, c.sub)
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// ritzTol bounds how far a replayed eigenvector component may sit from
+// the full QL's: the two multiply the same rotations in a different
+// order, so they agree to rounding, not bit for bit.
+const ritzTol = 1e-13
+
+// ritz's values equal the sorted full tql2's bit for bit, and its
+// vectors, replayed from the rotation log, match the sorted full QL's
+// eigenvector rows within ritzTol — for every count of wanted pairs,
+// so the slot ranking agrees with sortEigenAscending's at each prefix.
+func TestRitzReplayMatchesFullTQL2(t *testing.T) {
+	var ws tridiagWS
+	for _, c := range tridiagCases() {
+		n := len(c.diag)
+		d := append([]float64(nil), c.diag...)
+		e := append([]float64{0}, c.sub...)
+		zt := linalg.NewDense(n, n)
+		for i := 0; i < n; i++ {
+			zt.Set(i, i, 1)
 		}
-		if !SameBits(vals, dRef) || !SameBits(vecs.Data, z.Transpose().Data) {
-			t.Fatalf("%s n=%d: eig differs from the sorted full QL", c.name, n)
+		if err := tql2(d, e, zt); err != nil {
+			t.Fatalf("%s n=%d: tql2: %v", c.name, n, err)
+		}
+		sortEigenAscending(d, zt.Data)
+		for _, want := range []int{1, (n + 1) / 2, n} {
+			vals, vecs, err := ws.ritz(c.diag, c.sub, want)
+			if err != nil {
+				t.Fatalf("%s n=%d want=%d: %v", c.name, n, want, err)
+			}
+			if !SameBits(vals, d) {
+				t.Fatalf("%s n=%d want=%d: values differ from the sorted full QL", c.name, n, want)
+			}
+			if len(vecs) != n*want {
+				t.Fatalf("%s n=%d want=%d: %d components, want %d", c.name, n, want, len(vecs), n*want)
+			}
+			for q := 0; q < want; q++ {
+				for k, z := range zt.Row(q) {
+					if diff := math.Abs(vecs[k*want+q] - z); diff > ritzTol {
+						t.Fatalf("%s n=%d want=%d: vector %d component %d off the full QL by %.3g",
+							c.name, n, want, q, k, diff)
+					}
+				}
+			}
 		}
 	}
 }

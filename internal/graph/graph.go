@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/linalg"
@@ -60,6 +62,20 @@ func New(n int, edges []Edge) (*Graph, error) {
 		}
 		merged[key{u, v}] += e.W
 	}
+	// Every adjacency list is a window of one backing slice of 2|E|
+	// halves, sized from the vertex degrees. The windows are capped at
+	// their length, so no list can grow into its neighbor's.
+	count := make([]int, n)
+	for k := range merged {
+		count[k.u]++
+		count[k.v]++
+	}
+	halves := make([]Half, 2*len(merged))
+	off := 0
+	for u, c := range count {
+		g.adj[u] = halves[off : off : off+c]
+		off += c
+	}
 	for k, w := range merged {
 		g.adj[k.u] = append(g.adj[k.u], Half{To: k.v, W: w})
 		g.adj[k.v] = append(g.adj[k.v], Half{To: k.u, W: w})
@@ -69,7 +85,7 @@ func New(n int, edges []Edge) (*Graph, error) {
 	// repeated builds of the same graph differ in the last ulp — enough
 	// to flip near-tied eigenvector signs downstream.
 	for u := range g.adj {
-		sort.Slice(g.adj[u], func(i, j int) bool { return g.adj[u][i].To < g.adj[u][j].To })
+		slices.SortFunc(g.adj[u], func(a, b Half) int { return cmp.Compare(a.To, b.To) })
 		var d float64
 		for _, h := range g.adj[u] {
 			d += h.W

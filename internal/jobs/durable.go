@@ -7,10 +7,12 @@ package jobs
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	spectral "repro"
@@ -209,8 +211,9 @@ type RestoreStats struct {
 //     at restart — downtime is not charged against either budget;
 //   - jobs whose netlist or result cannot be recovered are failed with
 //     an explanatory error — never silently dropped;
-//   - the recovered netlists fill the netlist store in journal order, so
-//     the last MaxNetlists journaled are the ones it keeps;
+//   - the recovered netlists fill the netlist store in the journal's
+//     order of use (journal.NetlistRecord.LastUse), so it keeps the
+//     MaxNetlists used last, an ECO base its deltas name included;
 //   - spectrum hints prewarm the cache in the background once Start
 //     runs.
 //
@@ -219,7 +222,9 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, error) {
 	stats := RestoreStats{Replay: rep.Stats}
 	// Replayed jobs and the prewarm need their netlists, stored or not.
 	nets := make(map[string]*spectral.Netlist, len(rep.Netlists))
-	for _, nr := range rep.Netlists {
+	byUse := slices.Clone(rep.Netlists)
+	slices.SortStableFunc(byUse, func(a, b journal.NetlistRecord) int { return cmp.Compare(a.LastUse, b.LastUse) })
+	for _, nr := range byUse {
 		name, h, err := spectral.LoadNetlist(bytes.NewReader(nr.Body))
 		if err != nil || spectral.ValidateNetlist(h) != nil {
 			stats.Replay.CorruptRecords++
@@ -556,8 +561,8 @@ func (p *Pool) CompactJournal() error {
 	return nil
 }
 
-// snapshotRecords builds the compaction snapshot: every stored netlist,
-// one submit per tracked job, and a finish for each terminal one. Only
+// snapshotRecords builds the compaction snapshot: one submit per tracked
+// job, a finish for each terminal one, and every stored netlist. Only
 // pending and running jobs still hold netlists (finish drops them); a
 // terminal job replays from its finish record alone. The journal calls
 // it from CompactWith with appends gated; every journal write happens
@@ -595,8 +600,20 @@ func (p *Pool) snapshotRecords() []journal.Record {
 		j.mu.Unlock()
 	}
 
-	// A live job's netlist the store has evicted goes first, so a replay
-	// installs the store's own netlists last, in their order of use.
+	// Job records go first and netlists last, in their order of use, so
+	// a replay ranks the store's own netlists after every netlist a job
+	// names (journal.NetlistRecord.LastUse): a live job's netlist the
+	// store has evicted comes first among the netlists too.
+	var recs []journal.Record
+	for _, v := range views {
+		recs = append(recs, journal.Record{
+			Type: journal.TypeSubmit, ID: v.j.id, Hash: v.req.Hash,
+			Spec: specOf(v.req, v.j.shedFromD), UnixNS: v.j.created.UnixNano(),
+		})
+		if isTerminal(v.state) {
+			recs = append(recs, finishRecord(v.j.id, v.state, v.res, v.err, v.fin.UnixNano()))
+		}
+	}
 	var nets []NetlistInfo
 	seen := make(map[string]bool, len(stored))
 	for _, st := range stored {
@@ -610,22 +627,12 @@ func (p *Pool) snapshotRecords() []journal.Record {
 			}
 		}
 	}
-	var recs []journal.Record
 	for _, n := range append(nets, stored...) {
 		var buf bytes.Buffer
 		if spectral.SaveNetlist(&buf, n.Name, n.h) == nil {
 			recs = append(recs, journal.Record{
 				Type: journal.TypeNetlist, Hash: n.Hash, Name: n.Name, Netlist: buf.Bytes(), UnixNS: n.Stored.UnixNano(),
 			})
-		}
-	}
-	for _, v := range views {
-		recs = append(recs, journal.Record{
-			Type: journal.TypeSubmit, ID: v.j.id, Hash: v.req.Hash,
-			Spec: specOf(v.req, v.j.shedFromD), UnixNS: v.j.created.UnixNano(),
-		})
-		if isTerminal(v.state) {
-			recs = append(recs, finishRecord(v.j.id, v.state, v.res, v.err, v.fin.UnixNano()))
 		}
 	}
 	return recs

@@ -552,6 +552,29 @@ func TestFoldOrderTolerance(t *testing.T) {
 	}
 }
 
+// LastUse ranks each netlist by its last use in record order: its own
+// record, or a submit naming it as the job's netlist or, just before
+// that, as the delta's base. A submit that precedes the netlist's
+// record (a compaction writes jobs first) leaves the record's rank.
+func TestReplayRanksNetlistsByLastUse(t *testing.T) {
+	res := newReplayResult()
+	for _, h := range []string{"aa", "bb", "cc"} {
+		res.fold(Record{Type: TypeNetlist, Hash: h, Netlist: []byte("net n1 a b\n")})
+	}
+	delta := submitRec("job-000001", "cc")
+	delta.Spec = &JobSpec{Kind: "delta", BaseHash: "aa"}
+	res.fold(delta)
+	res.fold(submitRec("job-000002", "dd"))
+	res.fold(Record{Type: TypeNetlist, Hash: "dd", Netlist: []byte("net n1 a b\n")})
+	rank := map[string]int{}
+	for _, nr := range res.Netlists {
+		rank[nr.Hash] = nr.LastUse
+	}
+	if !(rank["bb"] < rank["aa"] && rank["aa"] < rank["cc"] && rank["cc"] < rank["dd"]) {
+		t.Fatalf("LastUse ranks = %v, want bb < aa < cc < dd", rank)
+	}
+}
+
 // Implausible record lengths are treated as corruption, not allocated.
 func TestImplausibleLengthIsCorruption(t *testing.T) {
 	dir := t.TempDir()

@@ -25,6 +25,12 @@ type NetlistRecord struct {
 	Hash string
 	Name string
 	Body []byte
+	// LastUse ranks the netlist's last use among the replayed records:
+	// its own record, and each submit that names it as a job's netlist
+	// or as a delta's base (the base first, as the daemon looks it up
+	// before storing the mutant). Ordering by it rebuilds the daemon's
+	// order of use.
+	LastUse int
 }
 
 // JobReplay is the folded state of one job after replaying every
@@ -92,6 +98,17 @@ type ReplayResult struct {
 	byHash map[string]int
 	byID   map[string]*JobReplay
 	hints  map[hintKey]int
+	uses   int // netlist uses folded so far
+}
+
+// use marks the netlist hash used by the record being folded. A hash
+// whose netlist record comes later needs no mark: that record is the
+// later use.
+func (r *ReplayResult) use(hash string) {
+	r.uses++
+	if i, ok := r.byHash[hash]; ok {
+		r.Netlists[i].LastUse = r.uses
+	}
 }
 
 // hintKey identifies a spectrum hint.
@@ -217,10 +234,12 @@ func (r *ReplayResult) fold(rec Record) {
 			if rec.Name != "" {
 				r.Netlists[i].Name = rec.Name
 			}
+			r.use(rec.Hash)
 			return
 		}
 		r.byHash[rec.Hash] = len(r.Netlists)
 		r.Netlists = append(r.Netlists, NetlistRecord{Hash: rec.Hash, Name: rec.Name, Body: rec.Netlist})
+		r.use(rec.Hash)
 	case TypeSubmit, TypeStart, TypeCancel, TypeFinish:
 		st.JobRecords++
 		if rec.ID == "" {
@@ -239,6 +258,10 @@ func (r *ReplayResult) fold(rec Record) {
 			j.Hash = rec.Hash
 			j.Spec = rec.Spec
 			j.SubmittedNS = rec.UnixNS
+			if rec.Spec != nil && rec.Spec.BaseHash != "" {
+				r.use(rec.Spec.BaseHash)
+			}
+			r.use(rec.Hash)
 		case TypeStart:
 			if !j.Terminal() {
 				j.State = StateRunning

@@ -29,9 +29,14 @@ import (
 )
 
 // scanGrain is the minimum candidates per shard of a parallel gain
-// scan; each candidate costs O(d) flops, so finer shards would be all
-// scheduling overhead.
-const scanGrain = 256
+// scan: each candidate costs only O(d) flops and every insertion pays a
+// goroutine handoff, so a scan of up to scanGrain candidates runs
+// serially. It sits at the measured crossover (BenchmarkScanCrossover):
+// on a 2-core Xeon VM, d = 10, two workers lose to one below n = 4096
+// (1000: 10–14 ms serial vs 14–17 ms sharded; 2000: 44–57 vs 64–68),
+// break even at 4096 (243–271 vs 218–262) and win at 8192 (0.93–1.13 s
+// vs 0.65–0.79 s).
+const scanGrain = 4096
 
 // Scheme selects the weighting function that ranks candidate vectors at
 // each MELO step. The source scan garbles the paper's exact formulas; the
@@ -138,6 +143,13 @@ func Order(g *graph.Graph, dec *eigen.Decomposition, opts Options) (*Result, err
 // every insertion boundary, so a cancelled context aborts within one
 // greedy step, returning ctx.Err().
 func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opts Options) (*Result, error) {
+	return orderGrain(ctx, g, dec, opts, scanGrain)
+}
+
+// orderGrain is OrderCtx with the gain scans' shard grain as a
+// parameter, so the crossover benchmark can time sharding below
+// scanGrain. The ordering does not depend on grain.
+func orderGrain(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opts Options, grain int) (*Result, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, errors.New("melo: empty graph")
@@ -291,11 +303,11 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 		idx int
 		s   float64
 	}
-	shards := make([]shardBest, parallel.NumChunks(workers, n, scanGrain))
+	shards := make([]shardBest, parallel.NumChunks(workers, n, grain))
 	pickAll := func(first bool) int {
 		evals += int64(n - placedN)
 		yn := prepScan()
-		parallel.For(workers, n, scanGrain, func(ch, lo, hi int) {
+		parallel.For(workers, n, grain, func(ch, lo, hi int) {
 			b := shardBest{idx: -1, s: math.Inf(-1)}
 			for i := lo; i < hi; i++ {
 				if placed[i] {
@@ -336,7 +348,7 @@ func OrderCtx(ctx context.Context, g *graph.Graph, dec *eigen.Decomposition, opt
 		// Score every unplaced vector in parallel (disjoint writes, one
 		// serial evaluation per candidate: worker-invariant), then rank
 		// serially so the sort sees identical input at every setting.
-		parallel.For(workers, n, scanGrain, func(_, lo, hi int) {
+		parallel.For(workers, n, grain, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if !placed[i] {
 					scores[i] = score(i, false, yn)

@@ -1,6 +1,7 @@
 package melo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -271,7 +272,8 @@ func referenceOrder(g *graph.Graph, dec *eigen.Decomposition, opts Options) (*Re
 // TestOrderMatchesReference pins the cached-norm scan to the uncached
 // scorer: byte-identical Order, Objective and H for every scheme,
 // AdaptiveH on and off, CandidateWindow 0 and 32, and an automatic and an
-// explicit start vertex, serially and at the default worker count.
+// explicit start vertex, serially, at the default worker count, and
+// sharded below scanGrain across three workers.
 func TestOrderMatchesReference(t *testing.T) {
 	for _, inst := range []struct {
 		n, m         int
@@ -293,14 +295,14 @@ func TestOrderMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						for _, workers := range []int{1, 0} {
-							opts.Workers = workers
-							got, err := Order(g, dec, opts)
+						for _, run := range []struct{ workers, grain int }{{1, scanGrain}, {0, scanGrain}, {3, 16}} {
+							opts.Workers = run.workers
+							got, err := orderGrain(context.Background(), g, dec, opts, run.grain)
 							if err != nil {
 								t.Fatal(err)
 							}
-							name := fmt.Sprintf("n=%d %v adaptive=%v window=%d start=%d workers=%d",
-								inst.n, s, adaptive, window, start, workers)
+							name := fmt.Sprintf("n=%d %v adaptive=%v window=%d start=%d workers=%d grain=%d",
+								inst.n, s, adaptive, window, start, run.workers, run.grain)
 							sameOrdering(t, name, got, want)
 						}
 					}

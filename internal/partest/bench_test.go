@@ -107,6 +107,31 @@ func benchMELO(b *testing.B, workers int) {
 func BenchmarkMELOSerial(b *testing.B)   { benchMELO(b, 1) }
 func BenchmarkMELOParallel(b *testing.B) { benchMELO(b, parallel.Limit()) }
 
+// BenchmarkMELOScanWorkers times a d = 10 MELO ordering, the cold-flat
+// job's, at the sizes around melo's scan grain: n = 1000 and 3000 fit
+// one shard and run serially at every worker count, n = 10⁴ shards.
+// The kernel-scaling CI step runs it at GOMAXPROCS 1, 2 and 4.
+func BenchmarkMELOScanWorkers(b *testing.B) {
+	for _, n := range []int{1000, 3000, 10000} {
+		g := benchGraph(b, n)
+		sol, err := resilience.SolveEigen(context.Background(), g.Laplacian(), 11, resilience.EigenPolicy{MinD: 11})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				opts := melo.NewOptions()
+				opts.Workers = w
+				for i := 0; i < b.N; i++ {
+					if _, err := melo.Order(g, sol.Dec, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // traceOverheadBound is the largest time ratio BenchmarkTraceOverhead
 // accepts between a kernel run under a disabled global tracer and the
 // same kernel with no tracer at all.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,35 +41,82 @@ func TestECOBaseSurvivesItsDeltas(t *testing.T) {
 	base := uploadNetlist(t, ts)
 	mutants := map[string]bool{}
 	for i := 1; i <= 7; i++ {
-		// Deltas that differ only in net names share a fingerprint, so
-		// each one joins a different module pair.
-		resp, err := postDelta(t, ts, base, fmt.Sprintf(`{"delta":{"addNets":[{"name":"eco","modules":[0,%d]}]},"k":2}`, i))
-		if err != nil {
-			t.Fatal(err)
+		m := acceptDelta(t, ts, base, i)
+		if mutants[m] {
+			t.Fatalf("delta %d repeats mutant %s", i, m)
 		}
-		if resp.StatusCode != http.StatusAccepted {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			t.Fatalf("delta %d against the base = %d: %s", i, resp.StatusCode, body)
-		}
-		var acc deltaAccepted
-		decode(t, resp, &acc)
-		if mutants[acc.Netlist] {
-			t.Fatalf("delta %d repeats mutant %s", i, acc.Netlist)
-		}
-		mutants[acc.Netlist] = true
+		mutants[m] = true
 	}
-	resp, err := http.Get(ts.URL + "/v1/netlists/" + base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("base after its deltas = %d, want 200", resp.StatusCode)
+	if code := getNetlist(t, ts, base); code != http.StatusOK {
+		t.Errorf("base after its deltas = %d, want 200", code)
 	}
 	if got := listNetlists(t, ts.URL); len(got) != bound {
 		t.Errorf("store lists %d netlists, want the bound %d", len(got), bound)
 	}
+}
+
+// acceptDelta posts the i-th delta against base, fails unless it is
+// accepted, and returns the mutant's hash. Deltas that differ only in
+// net names share a fingerprint, so each i joins a different module
+// pair.
+func acceptDelta(t *testing.T, ts *httptest.Server, base string, i int) string {
+	t.Helper()
+	resp, err := postDelta(t, ts, base, fmt.Sprintf(`{"delta":{"addNets":[{"name":"eco","modules":[0,%d]}]},"k":2}`, i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("delta %d against the base = %d: %s", i, resp.StatusCode, body)
+	}
+	var acc deltaAccepted
+	decode(t, resp, &acc)
+	return acc.Netlist
+}
+
+// getNetlist returns the status of GET /v1/netlists/{hash}.
+func getNetlist(t *testing.T, ts *httptest.Server, hash string) int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/netlists/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// A restart rebuilds the store's order of use from the journal: the
+// base every journaled delta names outranks the deltas' mutants, so
+// with room for four netlists the base uploaded before six deltas
+// still serves and takes a seventh delta.
+func TestECOBaseSurvivesRestart(t *testing.T) {
+	const bound = 4
+	dir := t.TempDir()
+	cfg := jobs.Config{Workers: 1, QueueDepth: 16, MaxNetlists: bound}
+	_, pool1, ts1 := newJournaledServer(t, dir, nil, cfg)
+	base := uploadNetlist(t, ts1)
+	for i := 1; i <= 6; i++ {
+		acceptDelta(t, ts1, base, i)
+	}
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := pool1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool1.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, ts2 := newJournaledServer(t, dir, nil, cfg)
+	if code := getNetlist(t, ts2, base); code != http.StatusOK {
+		t.Fatalf("base after restart = %d, want 200", code)
+	}
+	if got := listNetlists(t, ts2.URL); len(got) != bound {
+		t.Errorf("store lists %d netlists after restart, want the bound %d", len(got), bound)
+	}
+	acceptDelta(t, ts2, base, 7)
 }
 
 // A restart refills the store from the journal in upload order, so it
