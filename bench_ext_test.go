@@ -94,7 +94,7 @@ func BenchmarkAblationCliqueModels(b *testing.B) {
 	for _, model := range []graph.CliqueModel{graph.Standard, graph.PartitioningSpecific, graph.Frankle} {
 		b.Run(model.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g, err := graph.FromHypergraph(h, model, 0)
+				g, err := graph.FromHypergraph(h, model)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -71,7 +71,7 @@ func benchPipelineOn(b *testing.B, circuit string, scale float64, d int) (*graph
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func BenchmarkLaplacianEigensolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		b.Fatal(err)
 	}

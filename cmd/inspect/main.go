@@ -70,7 +70,7 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown clique model %q", *model))
 	}
-	g, err := graph.FromHypergraph(h, m, 0)
+	g, err := graph.FromHypergraph(h, m)
 	if err != nil {
 		fatal(err)
 	}

@@ -16,7 +16,7 @@
 //	          [-store-dir DIR]
 //	          [-peer-self URL] [-peers URL,URL,...]
 //	          [-debug-addr 127.0.0.1:8091] [-trace out.jsonl]
-//	          [-trace-ring N] [-trace-chunks N] [-warm-start=true]
+//	          [-trace-ring N] [-trace-chunks N]
 //
 // -workers bounds how many jobs run concurrently; -parallelism bounds
 // the goroutines the numerical kernels inside one job may use
@@ -57,9 +57,9 @@
 // POST /v1/netlists/{hash}/delta submits an incremental (ECO) job: the
 // body's delta is applied to the stored base netlist and the result is
 // partitioned with an eigensolve warm-started from the base's cached
-// spectrum, plus a stability report against the base partition.
-// -warm-start=false forces those solves cold (the answers are
-// bit-identical either way; warm starting only skips work).
+// spectrum, plus a stability report against the base partition. The
+// answers are bit-identical to a cold solve; warm starting only skips
+// work.
 //
 // Every job execution is traced (per-stage spans, kernel counters; see
 // internal/trace): /metrics exposes the aggregates. -debug-addr opens a
@@ -114,7 +114,6 @@ func main() {
 		traceOut     = flag.String("trace", "", "append finished spans as JSON lines to this file")
 		traceRing    = flag.Int("trace-ring", 4096, "recent spans retained for /debug/trace")
 		traceChunks  = flag.Int("trace-chunks", 0, "sample one in N parallel chunks as spans (0 = off)")
-		warmStart    = flag.Bool("warm-start", true, "seed incremental (ECO delta) eigensolves from the base netlist's cached spectrum")
 	)
 	flag.Parse()
 	parallel.SetLimit(*parallelism)
@@ -152,7 +151,6 @@ func main() {
 		traceOut:     *traceOut,
 		traceRing:    *traceRing,
 		traceChunks:  *traceChunks,
-		noWarmStart:  !*warmStart,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "spectrald:", err)
 		os.Exit(1)
@@ -172,7 +170,6 @@ type config struct {
 	peers                          []string
 	debugAddr, traceOut            string
 	traceRing, traceChunks         int
-	noWarmStart                    bool
 }
 
 func run(cfg config) error {
@@ -219,15 +216,14 @@ func run(cfg config) error {
 	}
 
 	pool := jobs.NewPool(jobs.Config{
-		Workers:          cfg.workers,
-		QueueDepth:       cfg.queueDepth,
-		CacheEntries:     cfg.cacheSize,
-		MaxQueueWait:     cfg.maxQueueWait,
-		ShedPolicy:       cfg.shedPolicy,
-		Journal:          jnl,
-		Store:            store,
-		DisableWarmStart: cfg.noWarmStart,
-		MaxNetlists:      cfg.maxNetlists,
+		Workers:      cfg.workers,
+		QueueDepth:   cfg.queueDepth,
+		CacheEntries: cfg.cacheSize,
+		MaxQueueWait: cfg.maxQueueWait,
+		ShedPolicy:   cfg.shedPolicy,
+		Journal:      jnl,
+		Store:        store,
+		MaxNetlists:  cfg.maxNetlists,
 	})
 	pool.SetTracer(tracer)
 	srv := server.New(pool, server.Config{Tracer: tracer})

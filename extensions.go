@@ -58,7 +58,7 @@ func ProbeBipartition(h *Netlist, d, probes int, minFrac float64) (*Partitioning
 // netlist's clique-model graph with the given cluster sizes. Any
 // heuristic solution's F value can be compared against it.
 func CutLowerBound(h *Netlist, sizes []int) (float64, error) {
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		return 0, err
 	}

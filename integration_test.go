@@ -16,7 +16,7 @@ import (
 )
 
 func cliqueGraph(h *Netlist) (*graph.Graph, error) {
-	return graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	return graph.FromHypergraph(h, graph.PartitioningSpecific)
 }
 
 func cliqueF(g *graph.Graph, p *Partitioning) float64 {

@@ -117,7 +117,7 @@ func build(h *hypergraph.Hypergraph, members []int, depth, leaf, maxDepth, d int
 // split when the sub-netlist is disconnected.
 func bisect(h *hypergraph.Hypergraph, members []int, d int, model graph.CliqueModel) (left, right []int, cut float64, err error) {
 	sub, back := h.Induce(members)
-	g, err := graph.FromHypergraph(sub, model, 0)
+	g, err := graph.FromHypergraph(sub, model)
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -13,7 +13,7 @@ import (
 func TestMatchIsInvolution(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		h := partest.RandomNetlist(40, 60, 5, seed)
-		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestMatchIsInvolution(t *testing.T) {
 func TestMatchWorkerInvariant(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		h := partest.RandomNetlist(60, 90, 6, seed)
-		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestMatchWorkerInvariant(t *testing.T) {
 
 func TestMatchRespectsAreaCap(t *testing.T) {
 	h := partest.RandomNetlist(30, 40, 4, 3)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestContractPreservesCountAndArea(t *testing.T) {
 		if err := h.SetAreas(areas); err != nil {
 			t.Fatal(err)
 		}
-		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestContractPreservesCountAndArea(t *testing.T) {
 func TestProjectPreservesCut(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		h := partest.RandomNetlist(50, 80, 6, seed)
-		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func FuzzCoarsenUncoarsen(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 		if err != nil {
 			t.Fatal(err)
 		}

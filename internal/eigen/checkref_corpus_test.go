@@ -22,7 +22,7 @@ import (
 // h, the operator every spectral method in the pipeline solves.
 func laplacian(t *testing.T, h *hypergraph.Hypergraph) *linalg.CSR {
 	t.Helper()
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,7 +133,7 @@ func (l *Lab) Graph(name string, model graph.CliqueModel) (*graph.Graph, error) 
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.FromHypergraph(h, model, 0)
+	g, err := graph.FromHypergraph(h, model)
 	if err != nil {
 		return nil, err
 	}

@@ -67,15 +67,10 @@ func (m CliqueModel) EdgeCost(size int) float64 {
 }
 
 // FromHypergraph converts a netlist to a weighted graph by expanding every
-// net into a clique under the given cost model. Nets larger than maxNet
-// are skipped entirely when maxNet > 0 (the paper notes that [10] removed
-// nets with more than 99 pins; pass 0 to keep everything).
-func FromHypergraph(h *hypergraph.Hypergraph, model CliqueModel, maxNet int) (*Graph, error) {
+// net into a clique under the given cost model.
+func FromHypergraph(h *hypergraph.Hypergraph, model CliqueModel) (*Graph, error) {
 	var edges []Edge
 	for _, net := range h.Nets {
-		if maxNet > 0 && len(net) > maxNet {
-			continue
-		}
 		w := model.EdgeCost(len(net))
 		for i := 0; i < len(net); i++ {
 			for j := i + 1; j < len(net); j++ {

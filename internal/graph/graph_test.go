@@ -204,7 +204,7 @@ func TestFromHypergraph(t *testing.T) {
 	_ = b.AddNet("n1", 2, 3)    // single edge, weight 1
 	h := b.Build()
 
-	g, err := FromHypergraph(h, Standard, 0)
+	g, err := FromHypergraph(h, Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,21 +218,12 @@ func TestFromHypergraph(t *testing.T) {
 		t.Errorf("2-pin net weight %v, want 1", g.Weight(2, 3))
 	}
 
-	// maxNet filter drops the 3-pin net.
-	g2, err := FromHypergraph(h, Standard, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != 1 {
-		t.Errorf("filtered edges = %d, want 1", g2.NumEdges())
-	}
-
 	// Overlapping nets merge weights: add n2 = {0,1}.
 	b2 := hypergraph.NewBuilder()
 	b2.AddModules(3)
 	_ = b2.AddNet("a", 0, 1, 2)
 	_ = b2.AddNet("b", 0, 1)
-	g3, err := FromHypergraph(b2.Build(), Standard, 0)
+	g3, err := FromHypergraph(b2.Build(), Standard)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func TestQuickCliqueExpansionWeight(t *testing.T) {
 			p := float64(size)
 			want += model.EdgeCost(size) * p * (p - 1) / 2
 		}
-		g, err := FromHypergraph(b.Build(), model, 0)
+		g, err := FromHypergraph(b.Build(), model)
 		if err != nil {
 			return false
 		}

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -26,6 +27,17 @@ func deltaBase(t *testing.T) (*spectral.Netlist, *delta.Delta, *spectral.Netlist
 	return base, d, mut
 }
 
+// storeBase adds base to p's netlist store and returns its hash, the
+// name a delta request gives its base.
+func storeBase(t *testing.T, p *Pool, base *spectral.Netlist) string {
+	t.Helper()
+	st, err := p.AddNetlist("", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Hash
+}
+
 // The delta path's core contract: the warm-started result is
 // indistinguishable from partitioning the mutated netlist cold.
 func TestDeltaJobMatchesColdPartition(t *testing.T) {
@@ -44,7 +56,8 @@ func TestDeltaJobMatchesColdPartition(t *testing.T) {
 	}
 	waitDone(t, bj)
 
-	j, err := p.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: opts, BaseNetlist: base, Delta: d})
+	baseHash := storeBase(t, p, base)
+	j, err := p.Submit(Request{Kind: KindDelta, Opts: opts, BaseHash: baseHash, Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +85,9 @@ func TestDeltaJobMatchesColdPartition(t *testing.T) {
 	if res.Reach == nil || res.Reach.Nets < 2 {
 		t.Errorf("reach = %+v, want >= 2 touched nets (one removed, one added)", res.Reach)
 	}
+	if _, want, _ := delta.Apply(base, d); res.Reach == nil || *res.Reach != want || j.Reach() != res.Reach {
+		t.Errorf("reach = %+v (job %+v), want delta.Apply's %+v", res.Reach, j.Reach(), want)
+	}
 	if res.Stability == nil {
 		t.Fatal("result lacks a stability report")
 	}
@@ -79,14 +95,14 @@ func TestDeltaJobMatchesColdPartition(t *testing.T) {
 		t.Errorf("stability NewCut %d != job cut %d", res.Stability.NewCut, res.NetCut)
 	}
 	st := p.Stats()
-	if st.WarmAccepted+st.WarmSeeded+st.WarmRejected+st.WarmCold != 1 {
-		t.Errorf("warm counters %d/%d/%d/%d, want exactly one outcome",
-			st.WarmAccepted, st.WarmSeeded, st.WarmRejected, st.WarmCold)
+	if st.WarmAccepted+st.WarmSeeded+st.WarmRejected != 1 {
+		t.Errorf("warm counters %d/%d/%d, want exactly one outcome",
+			st.WarmAccepted, st.WarmSeeded, st.WarmRejected)
 	}
 
 	// Same delta again: the mutated spectrum is cached now, so no solve
 	// and no new warm outcome.
-	j2, err := p.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: opts, BaseNetlist: base, Delta: d})
+	j2, err := p.Submit(Request{Kind: KindDelta, Opts: opts, BaseHash: baseHash, Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +136,7 @@ func TestDeltaJobAcceptsAreaOnlySeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, bj)
-	j, err := p.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: opts, BaseNetlist: base, Delta: d})
+	j, err := p.Submit(Request{Kind: KindDelta, Opts: opts, BaseHash: storeBase(t, p, base), Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,55 +156,32 @@ func TestDeltaJobAcceptsAreaOnlySeed(t *testing.T) {
 	}
 }
 
-// DisableWarmStart must force cold solves while leaving the answer
-// bit-identical.
-func TestDeltaJobDisableWarmStart(t *testing.T) {
-	defer leakCheck(t)()
-	base, d, mut := deltaBase(t)
-	opts := optsMELO(2)
-	p := NewPool(Config{Workers: 1, QueueDepth: 8, DisableWarmStart: true})
-	p.Start()
-	defer p.Shutdown(context.Background())
-
-	j, err := p.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: opts, BaseNetlist: base, Delta: d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := waitDone(t, j)
-	if res.WarmStart != spectral.WarmOutcomeCold {
-		t.Errorf("warmStart = %q with warm starts disabled, want cold", res.WarmStart)
-	}
-	if st := p.Stats(); st.WarmCold != 1 || st.WarmAccepted+st.WarmSeeded+st.WarmRejected != 0 {
-		t.Errorf("warm counters %+v, want exactly one cold", st)
-	}
-	cold, err := spectral.PartitionCtx(context.Background(), mut, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Assign.Ints(), cold.Assign) {
-		t.Error("cold delta partition differs from facade cold partition")
-	}
-}
-
+// Submit owns the delta: it resolves the base by hash and applies the
+// edit, refusing an unknown base, an edit that does not apply and a
+// missing delta before anything is queued.
 func TestDeltaSubmitValidation(t *testing.T) {
 	defer leakCheck(t)()
-	base, d, mut := deltaBase(t)
+	base, d, _ := deltaBase(t)
 	p := NewPool(Config{Workers: 1, QueueDepth: 4})
 	p.Start()
 	defer p.Shutdown(context.Background())
 
-	if _, err := p.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: optsMELO(2)}); err == nil {
-		t.Error("delta job without a base netlist accepted")
+	if _, err := p.Submit(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: "nope", Delta: d}); !errors.Is(err, ErrUnknownNetlist) {
+		t.Errorf("delta against an unknown base: err = %v, want ErrUnknownNetlist", err)
 	}
-	other, err := spectral.GenerateBenchmark("prim1", 0.03)
-	if err != nil {
-		t.Fatal(err)
+	baseHash := storeBase(t, p, base)
+	bad := &delta.Delta{RemoveNets: []string{"no-such-net"}}
+	if _, err := p.Submit(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash, Delta: bad}); !errors.Is(err, ErrBadDelta) {
+		t.Errorf("delta that does not apply: err = %v, want ErrBadDelta", err)
 	}
-	if _, err := p.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: optsMELO(2), BaseNetlist: other}); err == nil {
-		t.Error("delta job with a module-count mismatch accepted")
+	if _, err := p.Submit(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash}); err == nil || errors.Is(err, ErrBadDelta) {
+		t.Errorf("delta job without a delta: err = %v, want a refusal that is not ErrBadDelta", err)
 	}
-	if _, err := p.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: spectral.Options{K: -3, Method: spectral.MELO}, BaseNetlist: base, Delta: d}); err == nil {
+	if _, err := p.Submit(Request{Kind: KindDelta, Opts: spectral.Options{K: -3, Method: spectral.MELO}, BaseHash: baseHash, Delta: d}); err == nil {
 		t.Error("delta job with invalid options accepted")
+	}
+	if n := len(p.Jobs()); n != 0 {
+		t.Errorf("%d jobs queued by refused submissions, want 0", n)
 	}
 }
 
@@ -208,7 +201,7 @@ func TestDeltaJournalReplay(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	p1.Start()
-	j, err := p1.Submit(Request{Netlist: mut, Kind: KindDelta, Opts: opts, BaseNetlist: base, Delta: d})
+	j, err := p1.Submit(Request{Kind: KindDelta, Opts: opts, BaseHash: storeBase(t, p1, base), Delta: d})
 	if err != nil {
 		t.Fatal(err)
 	}

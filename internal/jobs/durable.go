@@ -125,11 +125,10 @@ func (p *Pool) journalSubmit(j *Job, req Request) error {
 	if err := p.journalNetlist(req.Hash, "", req.Netlist, j.created); err != nil {
 		return err
 	}
-	if req.BaseNetlist != nil {
-		// A delta job's base body must survive too: replay re-partitions
-		// the base for the stability report, and can rebuild the mutated
-		// netlist from base+delta if the mutated record is damaged.
-		if err := p.journalNetlist(req.BaseHash, "", req.BaseNetlist, j.created); err != nil {
+	if req.base != nil {
+		// A delta job's base body must survive too: replay re-applies the
+		// delta to it and re-partitions it for the stability report.
+		if err := p.journalNetlist(req.BaseHash, "", req.base, j.created); err != nil {
 			return err
 		}
 	}
@@ -291,26 +290,26 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, error) {
 		} else {
 			j.req = Request{Hash: jr.Hash, Kind: KindPartition}
 		}
-		h, haveNet := nets[jr.Hash]
-		if haveNet {
-			j.req.Netlist = h
-		}
+		j.req.Netlist = nets[jr.Hash]
 		if j.req.Kind == KindDelta && specErr == nil {
-			if bn, ok := nets[j.req.BaseHash]; ok {
-				j.req.BaseNetlist = bn
-				if !haveNet && j.req.Delta != nil {
-					// The mutated body was lost but base+delta survived:
-					// re-apply the delta (deterministic) to rebuild it.
-					if mut, _, err := delta.Apply(bn, j.req.Delta); err == nil {
-						if h := speccache.Fingerprint(mut); h == jr.Hash {
-							j.req.Netlist = mut
-							haveNet = true
-						}
-					}
-				}
-			} else {
+			if j.req.base = nets[j.req.BaseHash]; j.req.base == nil {
 				specErr = fmt.Errorf("jobs: base netlist %s lost in journal replay", j.req.BaseHash)
 			}
+		}
+		// runnable reports whether a job whose spec was recovered can run
+		// again. A delta job re-applies its delta (deterministic) for its
+		// reach, and for its netlist if that body was lost; a result that
+		// does not reproduce the journaled fingerprint is not used.
+		runnable := func() bool {
+			if j.req.Kind == KindDelta {
+				if mut, reach, err := applyDelta(j.req.base, j.req.Delta); err == nil && speccache.Fingerprint(mut) == jr.Hash {
+					j.req.reach = reach
+					if j.req.Netlist == nil {
+						j.req.Netlist = mut
+					}
+				}
+			}
+			return j.req.Netlist != nil
 		}
 
 		failReplay := func(reason error) {
@@ -335,7 +334,7 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, error) {
 			if res == nil {
 				// A done record whose result payload was lost: re-run if we
 				// can, fail loudly if we cannot — never serve an empty result.
-				if haveNet && specErr == nil {
+				if specErr == nil && runnable() {
 					backlog = append(backlog, j)
 					stats.Reenqueued++
 					break
@@ -380,20 +379,19 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, error) {
 			// Queued or running at crash time: run it (again). The pipeline
 			// is deterministic, so a re-run is byte-identical to the run
 			// the crash interrupted.
-			if !haveNet {
-				failReplay(fmt.Errorf("jobs: not recoverable from journal replay (netlist %s lost)", jr.Hash))
-				break
-			}
-			if specErr != nil {
+			switch {
+			case specErr != nil:
 				failReplay(fmt.Errorf("jobs: not recoverable from journal replay: %w", specErr))
-				break
+			case !runnable():
+				failReplay(fmt.Errorf("jobs: not recoverable from journal replay (netlist %s lost)", jr.Hash))
+			default:
+				backlog = append(backlog, j)
+				stats.Reenqueued++
 			}
-			backlog = append(backlog, j)
-			stats.Reenqueued++
 		}
 		if isTerminal(j.state) {
 			// Served from its finish record: pin no netlist.
-			j.req.Netlist, j.req.BaseNetlist = nil, nil
+			j.req.Netlist, j.req.base = nil, nil
 		}
 		p.jobs[j.id] = j
 		p.order = append(p.order, j.id)
@@ -620,7 +618,7 @@ func (p *Pool) snapshotRecords() []journal.Record {
 		seen[st.Hash] = true
 	}
 	for _, v := range views {
-		for _, n := range []NetlistInfo{{Hash: v.req.Hash, h: v.req.Netlist}, {Hash: v.req.BaseHash, h: v.req.BaseNetlist}} {
+		for _, n := range []NetlistInfo{{Hash: v.req.Hash, h: v.req.Netlist}, {Hash: v.req.BaseHash, h: v.req.base}} {
 			if n.h != nil && !seen[n.Hash] {
 				seen[n.Hash], n.Stored = true, v.j.created
 				nets = append(nets, n)

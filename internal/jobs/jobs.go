@@ -71,11 +71,18 @@ var (
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrShuttingDown reports that the pool no longer accepts work.
 	ErrShuttingDown = errors.New("jobs: pool is shutting down")
+	// ErrUnknownNetlist reports that a delta job names a base the
+	// netlist store does not hold (HTTP 404).
+	ErrUnknownNetlist = errors.New("jobs: unknown netlist")
+	// ErrBadDelta reports an ECO delta that does not apply to its base
+	// (HTTP 422).
+	ErrBadDelta = errors.New("jobs: apply delta")
 )
 
 // Request describes one unit of work.
 type Request struct {
-	// Netlist is the instance to process. Required.
+	// Netlist is the instance to process. Required, except by a
+	// KindDelta job, whose netlist Submit derives.
 	Netlist *spectral.Netlist
 	// Hash is the netlist's content fingerprint used as the spectrum
 	// cache key; empty means "compute it from the netlist".
@@ -93,16 +100,18 @@ type Request struct {
 	// After a crash/replay the deadline re-anchors at restart.
 	Timeout time.Duration
 
-	// KindDelta fields. Netlist/Hash above hold the MUTATED netlist
-	// (the delta already applied — the server applies it at submit
-	// time so validation errors surface synchronously); BaseHash and
-	// BaseNetlist identify the base whose cached spectrum seeds the
-	// warm start and whose partition anchors the stability report.
-	// Delta is retained for the journal, so a crash replay can rebuild
-	// the mutated netlist from the (journaled) base if needed.
-	BaseHash    string
-	BaseNetlist *spectral.Netlist
-	Delta       *delta.Delta
+	// KindDelta fields. BaseHash names a stored netlist, the base whose
+	// cached spectrum seeds the warm start and whose partition anchors
+	// the stability report, and Delta is the ECO edit to apply to it.
+	// Submit resolves the base, applies the delta and stores the result,
+	// which becomes the job's Netlist and Hash.
+	BaseHash string
+	Delta    *delta.Delta
+
+	// base and reach are the resolved base netlist and the delta's
+	// measured extent, set by Submit or, for a replayed job, Restore.
+	base  *spectral.Netlist
+	reach *delta.Reach
 }
 
 // Result is the output of a finished job.
@@ -169,8 +178,8 @@ type Status struct {
 type Job struct {
 	id string
 	// req is immutable once the job is published, except that finish
-	// clears its Netlist and BaseNetlist under mu: read those fields
-	// under mu wherever a finish may run concurrently.
+	// clears its Netlist and base under mu: read those fields under mu
+	// wherever a finish may run concurrently.
 	req    Request
 	ctx    context.Context
 	cancel func()
@@ -210,6 +219,10 @@ func (j *Job) State() State {
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// Reach returns a delta job's measured perturbation; nil for the other
+// kinds.
+func (j *Job) Reach() *delta.Reach { return j.req.reach }
 
 // Cancel requests cooperative cancellation. It is a no-op after the job
 // finished.
@@ -281,7 +294,7 @@ func (j *Job) markStarted(now time.Time) {
 // result alone, so keeping them would pin up to MaxJobs netlists.
 func (j *Job) finish(res *Result, err error, cancelled bool, now time.Time) State {
 	j.mu.Lock()
-	j.req.Netlist, j.req.BaseNetlist = nil, nil
+	j.req.Netlist, j.req.base = nil, nil
 	switch {
 	case err == nil:
 		j.state, j.result = Done, res

@@ -526,11 +526,12 @@ func TestIncompatibleJobsDoNotCoalesce(t *testing.T) {
 // the format of the order specs replayed in durable_test.go.
 func TestJobSpecAndStatusPerKind(t *testing.T) {
 	defer leakCheck(t)()
-	base, d, mut := deltaBase(t)
+	base, d, _ := deltaBase(t)
 	p := NewPool(Config{Workers: 1, QueueDepth: 8})
 	p.runFn = func(ctx context.Context, j *Job) (*Result, error) { return &Result{}, nil }
 	p.Start()
 	defer p.Shutdown(context.Background())
+	baseHash := storeBase(t, p, base)
 
 	cases := []struct {
 		name   string
@@ -545,9 +546,9 @@ func TestJobSpecAndStatusPerKind(t *testing.T) {
 			`{"kind":"order","d":3}`, "melo", 0, 3},
 		{"partition", Request{Netlist: base, Opts: spectral.Options{K: 3, Method: spectral.SFC, D: 4, Refine: true}},
 			`{"kind":"partition","method":"sfc","k":3,"d":4,"refine":true}`, "sfc", 3, 4},
-		{"partition ignores delta fields", Request{Netlist: base, Opts: spectral.Options{K: 2}, BaseNetlist: base, Delta: d},
+		{"partition ignores delta fields", Request{Netlist: base, Opts: spectral.Options{K: 2}, BaseHash: baseHash, Delta: d},
 			`{"kind":"partition","method":"melo","k":2}`, "melo", 2, 0},
-		{"delta", Request{Netlist: mut, Kind: KindDelta, Opts: spectral.Options{K: 2, Method: spectral.MELO, D: 6}, BaseNetlist: base, Delta: d},
+		{"delta", Request{Kind: KindDelta, Opts: spectral.Options{K: 2, Method: spectral.MELO, D: 6}, BaseHash: baseHash, Delta: d},
 			`{"kind":"delta","method":"melo","k":2,"d":6,"baseHash":"` + speccache.Fingerprint(base) + `"}`, "melo", 2, 6},
 	}
 	for _, c := range cases {

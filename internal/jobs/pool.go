@@ -66,12 +66,6 @@ type Config struct {
 	// solve delivers is written through to it. The pool does not close
 	// it. Default nil (no persistence).
 	Store specstore.Store
-	// DisableWarmStart makes KindDelta jobs solve cold instead of
-	// seeding the eigensolve from the base netlist's cached spectrum.
-	// Escape hatch and A/B lever; warm results are bit-checked against
-	// cold in tests, so the default is on. Default false (warm starts
-	// enabled).
-	DisableWarmStart bool
 	// MaxNetlists bounds the netlist store (see AddNetlist), which
 	// evicts the least recently used netlist first. Default 128.
 	MaxNetlists int
@@ -123,9 +117,8 @@ type Stats struct {
 	// Warm* count KindDelta eigensolves by warm-start outcome (see
 	// spectral.WarmInfo): Accepted refreshed the base spectrum without
 	// solving, Seeded started Lanczos from it, Rejected fell back to a
-	// cold solve after the seed failed its checks, Cold never attempted
-	// the seed (warm starts disabled, or no usable base spectrum).
-	WarmAccepted, WarmSeeded, WarmRejected, WarmCold uint64
+	// cold solve after the seed failed its checks.
+	WarmAccepted, WarmSeeded, WarmRejected uint64
 	// Shed reports the admission controller's state and counters.
 	Shed ShedStats
 	// JournalErrors counts journal appends that failed (durable or
@@ -170,7 +163,6 @@ type Pool struct {
 	warmAccepted atomic.Uint64
 	warmSeeded   atomic.Uint64
 	warmRejected atomic.Uint64
-	warmCold     atomic.Uint64
 
 	mu            sync.Mutex
 	jobs          map[string]*Job
@@ -232,37 +224,33 @@ func (p *Pool) Cache() *speccache.Cache { return p.cache }
 func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
 
 // Submit validates and enqueues a request. It never blocks: a full
-// queue returns ErrQueueFull, a shut-down pool ErrShuttingDown. On a
-// durable pool the job is journaled before Submit returns — an error
-// wrapping ErrJournal means the job was not durably accepted and the
-// caller must not acknowledge it.
+// queue returns ErrQueueFull, a shut-down pool ErrShuttingDown. A delta
+// job's base must be stored (else ErrUnknownNetlist) and its delta must
+// apply (else ErrBadDelta); the netlist it produces is stored under the
+// base's name before the job is queued. On a durable pool the job is
+// journaled before Submit returns — an error wrapping ErrJournal means
+// the job was not durably accepted and the caller must not acknowledge
+// it.
 func (p *Pool) Submit(req Request) (*Job, error) {
-	if req.Netlist == nil {
-		return nil, fmt.Errorf("jobs: nil netlist")
-	}
 	if req.Kind == "" {
 		req.Kind = KindPartition
 	}
 	if !req.Kind.known() {
 		return nil, fmt.Errorf("jobs: unknown kind %q", req.Kind)
 	}
+	if req.Kind == KindDelta {
+		if err := p.resolveDelta(&req); err != nil {
+			return nil, err
+		}
+	} else {
+		// Only a delta job has an ECO base.
+		req.BaseHash, req.Delta = "", nil
+	}
+	if req.Netlist == nil {
+		return nil, fmt.Errorf("jobs: nil netlist")
+	}
 	if err := spectral.ValidateNetlist(req.Netlist); err != nil {
 		return nil, err
-	}
-	if req.Kind != KindDelta {
-		// Only a delta job has an ECO base.
-		req.BaseHash, req.BaseNetlist, req.Delta = "", nil, nil
-	} else {
-		if req.BaseNetlist == nil {
-			return nil, fmt.Errorf("jobs: delta job without a base netlist")
-		}
-		if err := spectral.ValidateNetlist(req.BaseNetlist); err != nil {
-			return nil, fmt.Errorf("jobs: base netlist: %w", err)
-		}
-		if req.BaseNetlist.NumModules() != req.Netlist.NumModules() {
-			return nil, fmt.Errorf("jobs: delta netlist has %d modules, base has %d — ECO deltas preserve the module population",
-				req.Netlist.NumModules(), req.BaseNetlist.NumModules())
-		}
 	}
 	if req.Kind == KindOrder {
 		// MELO clamps d to the module count, so an order job admits any
@@ -279,9 +267,6 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	}
 	if req.Hash == "" {
 		req.Hash = speccache.Fingerprint(req.Netlist)
-	}
-	if req.BaseNetlist != nil && req.BaseHash == "" {
-		req.BaseHash = speccache.Fingerprint(req.BaseNetlist)
 	}
 
 	p.mu.Lock()
@@ -357,6 +342,41 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// resolveDelta turns a delta request into the job's netlist: it looks
+// the base up by hash, applies the delta and stores the result under
+// the base's name, which also journals it on a durable pool.
+func (p *Pool) resolveDelta(req *Request) error {
+	base, info, ok := p.Netlist(req.BaseHash)
+	if !ok {
+		return fmt.Errorf("%w %q", ErrUnknownNetlist, req.BaseHash)
+	}
+	mut, reach, err := applyDelta(base, req.Delta)
+	if err != nil {
+		return err
+	}
+	st, err := p.AddNetlist(info.Name, mut)
+	if err != nil {
+		return err
+	}
+	req.Netlist, req.Hash, req.base, req.reach = mut, st.Hash, base, reach
+	return nil
+}
+
+// applyDelta is the one place an ECO delta meets its base, for a new
+// job and for a replayed one alike. delta.Apply keeps the module
+// population fixed, so the result is a valid netlist of the base's size.
+// A missing delta is refused as a malformed request, not ErrBadDelta.
+func applyDelta(base *spectral.Netlist, d *delta.Delta) (*spectral.Netlist, *delta.Reach, error) {
+	if d == nil {
+		return nil, nil, errors.New("jobs: delta job without a delta")
+	}
+	mut, reach, err := delta.Apply(base, d)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
+	}
+	return mut, &reach, nil
 }
 
 // jobContext derives a job's context from the pool's base context,
@@ -508,7 +528,6 @@ func (p *Pool) Stats() Stats {
 		WarmAccepted:      p.warmAccepted.Load(),
 		WarmSeeded:        p.warmSeeded.Load(),
 		WarmRejected:      p.warmRejected.Load(),
-		WarmCold:          p.warmCold.Load(),
 		JournalErrors:     p.journalErrors,
 		Panics:            p.panics,
 		Shed:              p.shed.stats(),
@@ -639,36 +658,24 @@ func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 	isDelta := req.Kind == KindDelta
 	res := &Result{}
 	if isDelta {
-		res.BaseHash, res.WarmStart = req.BaseHash, spectral.WarmOutcomeCold
-		if req.Delta != nil && req.BaseNetlist != nil {
-			// Re-derive the perturbation reach from the journaled delta;
-			// Apply on an already-validated delta is O(nets) and
-			// deterministic.
-			if _, reach, err := delta.Apply(req.BaseNetlist, req.Delta); err == nil {
-				res.Reach = &reach
-			}
-		}
+		res.BaseHash, res.WarmStart, res.Reach = req.BaseHash, spectral.WarmOutcomeCold, req.reach
 	}
 
 	var sp, baseSp *spectral.Spectrum
 	if spec := req.Opts.SpectrumSpec(); spec.Needed {
 		t := time.Now()
 		var (
-			seed *spectral.Spectrum
 			warm *spectral.WarmInfo
 			err  error
 		)
 		if isDelta {
-			if baseSp, _, err = p.fetch(ctx, newSpecReq(req.BaseNetlist, req.BaseHash, spec), true, nil, nil); err != nil {
+			if baseSp, _, err = p.fetch(ctx, newSpecReq(req.base, req.BaseHash, spec), true, nil, nil); err != nil {
 				j.recordSpectrum(time.Since(t))
 				return nil, fmt.Errorf("jobs: base spectrum: %w", err)
 			}
-			if !p.cfg.DisableWarmStart {
-				seed = baseSp
-			}
 			warm = &spectral.WarmInfo{}
 		}
-		sp, res.SpectrumCacheHit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, seed, warm)
+		sp, res.SpectrumCacheHit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, baseSp, warm)
 		j.recordSpectrum(time.Since(t))
 		if err != nil {
 			return nil, err
@@ -708,8 +715,8 @@ func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 	// Stability report: partition the base with its (already resolved)
 	// spectrum and align labels. A base-side failure degrades the report
 	// — the delta partition above is the job's answer and stands.
-	if basePart, berr := spectral.PartitionWithSpectrum(ctx, req.BaseNetlist, baseSp, req.Opts); berr == nil {
-		if st, serr := spectral.PartitionStability(req.BaseNetlist, req.Netlist, basePart, part); serr == nil {
+	if basePart, berr := spectral.PartitionWithSpectrum(ctx, req.base, baseSp, req.Opts); berr == nil {
+		if st, serr := spectral.PartitionStability(req.base, req.Netlist, basePart, part); serr == nil {
 			res.Stability = st
 		}
 	} else if resilience.IsContextError(berr) {
@@ -727,8 +734,6 @@ func (p *Pool) noteWarm(outcome string) {
 		p.warmSeeded.Add(1)
 	case spectral.WarmOutcomeRejected:
 		p.warmRejected.Add(1)
-	default:
-		p.warmCold.Add(1)
 	}
 }
 

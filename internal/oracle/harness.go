@@ -73,7 +73,7 @@ type caseEnv struct {
 }
 
 func newCaseEnv(h *hypergraph.Hypergraph) (*caseEnv, error) {
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func newCaseEnv(h *hypergraph.Hypergraph) (*caseEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	gf, err := graph.FromHypergraph(h, graph.Frankle, 0)
+	gf, err := graph.FromHypergraph(h, graph.Frankle)
 	if err != nil {
 		return nil, err
 	}

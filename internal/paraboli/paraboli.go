@@ -33,16 +33,15 @@ import (
 type Options struct {
 	// Model is the clique model for the netlist-to-graph expansion.
 	Model graph.CliqueModel
-	// MaxNet drops nets larger than this (0 keeps all).
-	MaxNet int
 	// MinFrac is the balance bound for the final split (Table 5 uses
 	// 0.45).
 	MinFrac float64
 	// Iterations is the number of reanchoring rounds. Default 3.
 	Iterations int
-	// Alpha is the anchor strength. Default 1.
-	Alpha float64
 }
+
+// alpha is the anchor strength of every placement solve.
+const alpha = 1.0
 
 // Bipartition places the netlist on a line and returns the best balanced
 // split of the placement ordering.
@@ -65,12 +64,8 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 	if iters <= 0 {
 		iters = 3
 	}
-	alpha := opts.Alpha
-	if alpha <= 0 {
-		alpha = 1
-	}
 
-	g, err := graph.FromHypergraph(h, opts.Model, opts.MaxNet)
+	g, err := graph.FromHypergraph(h, opts.Model)
 	if err != nil {
 		return dprp.SplitResult{}, err
 	}

@@ -24,7 +24,7 @@ func benchGraph(b *testing.B, n int) *graph.Graph {
 		return g
 	}
 	h := RandomNetlist(n, 5*n/2, 6, 99)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		b.Fatal(err)
 	}

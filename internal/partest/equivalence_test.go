@@ -22,7 +22,7 @@ var workerLevels = []int{1, 2, 3, 4, 7}
 func TestMatVecSerialParallelExact(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		h := RandomNetlist(400, 900, 6, seed)
-		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestMatVecSerialParallelExact(t *testing.T) {
 // canonicalization (the ±1 ambiguity is the only slack allowed).
 func TestLanczosWorkerEquivalence(t *testing.T) {
 	h := RandomNetlist(300, 700, 5, 11)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestLanczosSelectiveReorthInvariants(t *testing.T) {
 	sqrtEps := math.Sqrt(0x1p-52)
 	for _, seed := range []int64{3, 17, 29} {
 		h := RandomNetlist(350, 800, 6, seed)
-		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+		g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestOrthogonalizeBlockWorkerInvariance(t *testing.T) {
 // for every weighting scheme, including the candidate-window path.
 func TestMELOOrderingWorkerEquivalence(t *testing.T) {
 	h := RandomNetlist(220, 500, 5, 23)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}

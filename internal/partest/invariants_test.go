@@ -25,7 +25,7 @@ func TestTheorem1TraceIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 18; seed++ {
 		h := RandomNetlist(40+int(seed)*3, 90+int(seed)*5, 5, seed)
 		for _, model := range models {
-			g, err := graph.FromHypergraph(h, model, 0)
+			g, err := graph.FromHypergraph(h, model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestMaxSumIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 18; seed++ {
 		h := RandomNetlist(25+int(seed)*2, 60+int(seed)*4, 5, 1000+seed)
 		for _, model := range models {
-			g, err := graph.FromHypergraph(h, model, 0)
+			g, err := graph.FromHypergraph(h, model)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestMaxSumIdentity(t *testing.T) {
 // behind "the more eigenvectors, the better".
 func TestTruncatedMaxSumBound(t *testing.T) {
 	h := RandomNetlist(48, 110, 5, 9)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestMultilevelInvariantsOnSeededNetlists(t *testing.T) {
 			if cut := partition.NetCut(h, p); cut < 0 || cut > h.NumNets() {
 				t.Fatalf("seed %d K=%d: net cut %d outside [0, %d]", seed, k, cut, h.NumNets())
 			}
-			g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+			g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 			if err != nil {
 				t.Fatal(err)
 			}

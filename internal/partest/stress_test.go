@@ -19,7 +19,7 @@ import (
 
 func TestStressConcurrentMatVec(t *testing.T) {
 	h := RandomNetlist(800, 2000, 6, 13)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestStressConcurrentMatVec(t *testing.T) {
 
 func TestStressConcurrentOrderings(t *testing.T) {
 	h := RandomNetlist(120, 260, 5, 17)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}

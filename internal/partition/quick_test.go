@@ -64,7 +64,7 @@ func TestQuickMetricsLabelInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(16)
 		h := randomHypergraph(rng, n)
-		g, err := graph.FromHypergraph(h, graph.Standard, 0)
+		g, err := graph.FromHypergraph(h, graph.Standard)
 		if err != nil {
 			return false
 		}

@@ -10,7 +10,7 @@ import (
 
 func TestPartitionCoversAllK(t *testing.T) {
 	h := partest.RandomNetlist(30, 40, 4, 1)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPartitionCoversAllK(t *testing.T) {
 
 func TestPartitionDeterministic(t *testing.T) {
 	h := partest.RandomNetlist(40, 60, 5, 7)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPartitionSignInvariant(t *testing.T) {
 	// Flipping an eigenvector's sign must not change the partition:
 	// canonSign resolves the ±v ambiguity.
 	h := partest.RandomNetlist(25, 30, 4, 3)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestPartitionSignInvariant(t *testing.T) {
 
 func TestPartitionKEqualsN(t *testing.T) {
 	h := partest.RandomNetlist(8, 6, 3, 2)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPartitionKEqualsN(t *testing.T) {
 
 func TestPartitionValidation(t *testing.T) {
 	h := partest.RandomNetlist(6, 4, 3, 2)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,6 @@ type Options struct {
 	// Model is the clique model used when building each sub-hypergraph's
 	// graph. The paper's Table 4 uses the partitioning-specific model.
 	Model graph.CliqueModel
-	// MaxNet drops nets larger than this during clique expansion
-	// (0 keeps all nets).
-	MaxNet int
-	// MinSide rejects splits that leave a side with fewer modules; a
-	// floor of 1 always applies. Keeps the recursion from shaving single
-	// vertices when a cluster must still be split k−1 more times.
-	MinSide int
 }
 
 // Partition runs RSB on the netlist h and returns a k-way partitioning.
@@ -96,7 +89,7 @@ func bisect(ctx context.Context, h *hypergraph.Hypergraph, members []int, opts O
 		return nil, nil, fmt.Errorf("rsb: induced sub-hypergraph lost modules")
 	}
 
-	g, err := graph.FromHypergraph(sub, opts.Model, opts.MaxNet)
+	g, err := graph.FromHypergraph(sub, opts.Model)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,17 +119,8 @@ func bisect(ctx context.Context, h *hypergraph.Hypergraph, members []int, opts O
 	if err != nil {
 		return nil, nil, err
 	}
-	pos := res.Pos
-	minSide := opts.MinSide
-	if minSide < 1 {
-		minSide = 1
-	}
-	if pos < minSide {
-		pos = minSide
-	}
-	if pos > len(order)-minSide {
-		pos = len(order) - minSide
-	}
+	// Both sides keep at least one module.
+	pos := min(max(res.Pos, 1), len(order)-1)
 	for i, v := range order {
 		orig := back[v]
 		if i < pos {

@@ -60,7 +60,7 @@ func TestFiedlerOrderOnPath(t *testing.T) {
 func TestBipartitionPath(t *testing.T) {
 	n := 12
 	h := pathNetlist(t, n)
-	g, err := graph.FromHypergraph(h, graph.Standard, 0)
+	g, err := graph.FromHypergraph(h, graph.Standard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestRatioCutBipartitionTwoClusters(t *testing.T) {
 	}
 	_ = b.AddNet("bridge", 4, 5)
 	h := b.Build()
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFiedlerOrderSignInvariant(t *testing.T) {
 // bipartition for either eigenvector sign.
 func TestBipartitionSignInvariant(t *testing.T) {
 	h := pathNetlist(t, 9)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestDeltaEndpointEndToEnd(t *testing.T) {
 	}
 	if sum := func() uint64 {
 		s := pool.Stats()
-		return s.WarmAccepted + s.WarmSeeded + s.WarmRejected + s.WarmCold
+		return s.WarmAccepted + s.WarmSeeded + s.WarmRejected
 	}(); sum != 1 {
 		t.Errorf("warm outcome count = %d, want 1", sum)
 	}

@@ -62,7 +62,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"accepted", st.WarmAccepted},
 		{"seeded", st.WarmSeeded},
 		{"rejected", st.WarmRejected},
-		{"cold", st.WarmCold},
 	} {
 		fmt.Fprintf(&b, "spectrald_warmstart_total{outcome=%q} %d\n", wc.outcome, wc.n)
 	}

@@ -1,7 +1,8 @@
 // Package server is the HTTP/JSON surface of the spectrald daemon: a
 // thin REST layer that parses and validates requests and maps outcomes
 // to status codes over the internal/jobs worker pool, which owns the
-// content-addressed netlist store and the spectrum cache.
+// content-addressed netlist store and the spectrum cache and applies
+// ECO deltas.
 //
 // API (all bodies JSON unless noted):
 //
@@ -15,10 +16,12 @@
 //	                               used first
 //	GET  /v1/netlists/{hash}       one stored netlist's statistics
 //	                               (?format=text exports the full body)
-//	POST /v1/netlists/{hash}/delta apply an ECO delta to a stored base
-//	                               netlist and submit an incremental
-//	                               partitioning job warm-started from the
-//	                               base's cached spectrum; 202 on accept
+//	POST /v1/netlists/{hash}/delta submit an incremental partitioning job
+//	                               for an ECO delta to a stored base
+//	                               netlist, warm-started from the base's
+//	                               cached spectrum; 202 on accept, 404 for
+//	                               an unknown base, 422 for a delta that
+//	                               does not apply
 //	POST /v1/jobs                  submit a job; 202 on accept, 429 when
 //	                               the queue is full, 503 while draining
 //	GET  /v1/jobs                  list jobs
@@ -50,20 +53,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Config sizes the server. Zero fields select the noted defaults.
+// maxBodyBytes bounds every request body the server reads.
+const maxBodyBytes = 64 << 20
+
+// Config configures the server.
 type Config struct {
-	// MaxBodyBytes bounds request bodies. Default 64 MiB.
-	MaxBodyBytes int64
 	// Tracer, when set, is the daemon's tracer: /metrics renders its
 	// per-span timings and counter totals as the Prometheus bridge.
 	Tracer *trace.Tracer
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	return c
 }
 
 // Server is the spectrald HTTP handler. Create with New; it implements
@@ -89,7 +86,7 @@ type Server struct {
 // New wires a server over a pool (started, or about to be).
 func New(pool *jobs.Pool, cfg Config) *Server {
 	s := &Server{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		pool:  pool,
 		mux:   http.NewServeMux(),
 		start: time.Now(),
@@ -159,7 +156,7 @@ func (s *Server) handlePostNetlist(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var (
 		name string
 		h    *spectral.Netlist
@@ -287,7 +284,7 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req jobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
@@ -352,10 +349,15 @@ func partitionOptions(req jobRequest) (spectral.Options, error) {
 
 // writePoolError maps a pool failure onto HTTP: 429 with backoff, 503
 // while shutting down or when the journal cannot make the request
-// durable (so it was not accepted), and code for anything else, such as
+// durable (so it was not accepted), 404 for a delta's unknown base, 422
+// for a delta that does not apply, and code for anything else, such as
 // a request the pool rejects as invalid.
 func (s *Server) writePoolError(w http.ResponseWriter, err error, code int) {
 	switch {
+	case errors.Is(err, jobs.ErrUnknownNetlist):
+		writeError(w, http.StatusNotFound, "%v (upload it via POST /v1/netlists first)", err)
+	case errors.Is(err, jobs.ErrBadDelta):
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 	case errors.Is(err, jobs.ErrQueueFull):
 		// Derived backoff: queued work ahead of the client in
 		// worker-widths times the median recent job duration (see
@@ -384,29 +386,20 @@ type deltaRequest struct {
 	Delta *delta.Delta `json:"delta"`
 }
 
-// handlePostDelta applies an ECO delta to a stored base netlist and
-// submits an incremental partitioning job against the result. The delta
-// is applied synchronously so structural errors (unknown net names,
-// out-of-range modules) surface as a 422 here, not as a failed job; the
-// mutated netlist enters the content-addressed store under its own
-// fingerprint and the response reports it alongside the job status.
+// handlePostDelta submits an incremental partitioning job for an ECO
+// delta against a stored base netlist. The pool applies the delta at
+// submission, so structural errors (unknown net names, out-of-range
+// modules) surface as a 422 here, not as a failed job; the mutated
+// netlist enters the content-addressed store under its own fingerprint
+// and the response reports it alongside the job status.
 func (s *Server) handlePostDelta(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	baseH, base, ok := s.pool.Netlist(r.PathValue("hash"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown netlist %q (upload it via POST /v1/netlists first)", r.PathValue("hash"))
-		return
-	}
 	var req deltaRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	if req.Delta == nil {
-		writeError(w, http.StatusBadRequest, "missing delta")
 		return
 	}
 	timeout, err := parseTimeout(req.jobRequest, r)
@@ -419,38 +412,25 @@ func (s *Server) handlePostDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mut, reach, err := delta.Apply(baseH, req.Delta)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "apply delta: %v", err)
-		return
-	}
-	mutSt, err := s.pool.AddNetlist(base.Name, mut)
-	if err != nil {
-		s.writePoolError(w, err, http.StatusInternalServerError)
-		return
-	}
 	j, err := s.pool.Submit(jobs.Request{
-		Netlist:     mut,
-		Hash:        mutSt.Hash,
-		Kind:        jobs.KindDelta,
-		Opts:        opts,
-		Timeout:     timeout,
-		BaseHash:    base.Hash,
-		BaseNetlist: baseH,
-		Delta:       req.Delta,
+		Kind:     jobs.KindDelta,
+		Opts:     opts,
+		Timeout:  timeout,
+		BaseHash: r.PathValue("hash"),
+		Delta:    req.Delta,
 	})
 	if err != nil {
 		s.writePoolError(w, err, http.StatusBadRequest)
 		return
 	}
-	// Both netlist bodies are journaled by now (the store's and the
-	// job's entries), so the hashes in this acknowledgement stay
-	// resolvable across a daemon restart.
+	// Both netlist bodies are journaled by now, so the hashes in this
+	// acknowledgement stay resolvable across a daemon restart.
+	st := j.Status()
 	writeJSON(w, http.StatusAccepted, map[string]any{
-		"job":     j.Status(),
-		"netlist": mutSt.Hash,
-		"base":    base.Hash,
-		"reach":   reach,
+		"job":     st,
+		"netlist": st.Hash,
+		"base":    st.BaseHash,
+		"reach":   j.Reach(),
 	})
 }
 

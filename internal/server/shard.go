@@ -29,9 +29,8 @@ const peerTimeout = 10 * time.Second
 // Every failure mode — owner down, owner misses, payload damaged —
 // degrades to local compute.
 type shardClient struct {
-	ring     *shard.Ring
-	client   *http.Client
-	maxBytes int64
+	ring   *shard.Ring
+	client *http.Client
 
 	proxied     atomic.Uint64 // fetches sent to a peer
 	proxyHits   atomic.Uint64 // fetches a peer answered with a spectrum
@@ -58,9 +57,8 @@ func (s *Server) ConfigureSharding(self string, peers []string) error {
 		return err
 	}
 	sc := &shardClient{
-		ring:     ring,
-		client:   &http.Client{Timeout: peerTimeout},
-		maxBytes: s.cfg.MaxBodyBytes,
+		ring:   ring,
+		client: &http.Client{Timeout: peerTimeout},
 	}
 	s.shard = sc
 	s.pool.Cache().SetRemote(sc)
@@ -120,8 +118,8 @@ func (c *shardClient) Fetch(ctx context.Context, hash, model string, pairs int) 
 		c.peerErrors.Add(1)
 		return nil, false, nil
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBytes+1))
-	if err != nil || int64(len(data)) > c.maxBytes {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil || len(data) > maxBodyBytes {
 		c.peerErrors.Add(1)
 		return nil, false, nil
 	}
@@ -205,7 +203,7 @@ func (s *Server) handlePutSpectrum(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
 		return

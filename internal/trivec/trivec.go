@@ -20,11 +20,11 @@ import (
 	"repro/internal/partition"
 )
 
+// angles is the rotation grid resolution over one 120° period.
+const angles = 24
+
 // Options configures Partition.
 type Options struct {
-	// Angles is the rotation grid resolution over one 120° period
-	// (default 24).
-	Angles int
 	// Workers bounds the goroutines scanning the rotation grid
 	// (0 = process default). The result is identical at every value.
 	Workers int
@@ -49,10 +49,6 @@ func Partition(h *hypergraph.Hypergraph, dec *eigen.Decomposition, o Options) (*
 	}
 	if dec.Vectors.Rows != n {
 		return nil, fmt.Errorf("trivec: decomposition over %d vertices, hypergraph has %d modules", dec.Vectors.Rows, n)
-	}
-	angles := o.Angles
-	if angles <= 0 {
-		angles = 24
 	}
 	x := dec.Vector(1)
 	y := dec.Vector(2)

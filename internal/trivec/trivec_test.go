@@ -13,7 +13,7 @@ import (
 
 func fullDec(t *testing.T, h *hypergraph.Hypergraph) *eigen.Decomposition {
 	t.Helper()
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -387,7 +387,7 @@ func (pl *pipeline) decompose(h *Netlist, model graph.CliqueModel, d int) (*grap
 		return pl.sp.g, dec, nil
 	}
 	pl.enter(resilience.StageCliqueModel)
-	g, err := graph.FromHypergraph(h, model, 0)
+	g, err := graph.FromHypergraph(h, model)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -613,7 +613,7 @@ func (pl *pipeline) partitionSFC(h *Netlist) (*Partitioning, error) {
 
 func (pl *pipeline) partitionBarnes(h *Netlist) (*Partitioning, error) {
 	pl.enter(resilience.StageCliqueModel)
-	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific, 0)
+	g, err := graph.FromHypergraph(h, graph.PartitioningSpecific)
 	if err != nil {
 		return nil, err
 	}

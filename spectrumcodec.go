@@ -11,7 +11,9 @@ package spectral
 // spectrum structurally identical to a freshly computed one.
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -89,44 +91,17 @@ func DecodeSpectrum(data []byte, h *Netlist) (*Spectrum, error) {
 	if h == nil {
 		return nil, fmt.Errorf("spectral: decode spectrum: nil netlist")
 	}
-	if len(data) < len(specMagic) || string(data[:len(specMagic)]) != specMagic {
-		return nil, fmt.Errorf("spectral: decode spectrum: bad magic")
-	}
-	rest := data[len(specMagic):]
-	readUvarint := func(what string) (int, error) {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 || v > math.MaxInt32 {
-			return 0, fmt.Errorf("spectral: decode spectrum: bad %s", what)
-		}
-		rest = rest[k:]
-		return int(v), nil
-	}
-	modules, err := readUvarint("module count")
+	hdr, rest, err := readSpecHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	modelNum, err := readUvarint("model")
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := readUvarint("pair count")
-	if err != nil {
-		return nil, err
-	}
+	modules, pairs := hdr.modules, hdr.pairs
 	if modules != h.NumModules() {
 		return nil, fmt.Errorf("spectral: decode spectrum: encoded for %d modules, netlist has %d", modules, h.NumModules())
 	}
-	if pairs < 1 || pairs > modules {
-		return nil, fmt.Errorf("spectral: decode spectrum: %d pairs for %d modules", pairs, modules)
-	}
-	model := Model(modelNum)
-	cm, err := model.clique()
+	cm, err := Model(hdr.model).clique()
 	if err != nil {
 		return nil, fmt.Errorf("spectral: decode spectrum: %w", err)
-	}
-	want := 8 * (pairs + modules*pairs)
-	if len(rest) != want {
-		return nil, fmt.Errorf("spectral: decode spectrum: %d payload bytes, want %d", len(rest), want)
 	}
 	values := make([]float64, pairs)
 	for i := range values {
@@ -142,7 +117,7 @@ func DecodeSpectrum(data []byte, h *Netlist) (*Spectrum, error) {
 			return nil, fmt.Errorf("spectral: decode spectrum: NaN eigenvalue")
 		}
 	}
-	g, err := graph.FromHypergraph(h, cm, 0)
+	g, err := graph.FromHypergraph(h, cm)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: decode spectrum: rebuild graph: %w", err)
 	}
@@ -152,4 +127,36 @@ func DecodeSpectrum(data []byte, h *Netlist) (*Spectrum, error) {
 		g:       g,
 		dec:     &eigen.Decomposition{Values: values, Vectors: vec},
 	}, nil
+}
+
+// SpectrumPairs returns the pair count in the header of an encoded
+// spectrum, frame checked as DecodeSpectrum checks it, for a holder of
+// the bytes that has no netlist to decode them against.
+func SpectrumPairs(data []byte) (int, error) {
+	hdr, _, err := readSpecHeader(data)
+	return hdr.pairs, err
+}
+
+// specHeader is the header of EncodeSpectrum's layout.
+type specHeader struct{ modules, model, pairs int }
+
+// readSpecHeader parses the header of an encoded spectrum and checks its
+// frame: 1 ≤ pairs ≤ modules and a payload of exactly (1 + modules) ×
+// pairs 8-byte floats, which it returns. It is the one reader of the
+// layout EncodeSpectrum writes.
+func readSpecHeader(data []byte) (specHeader, []byte, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(specMagic))
+	var v [3]uint64 // modules, model, pairs
+	for i := 0; ok && i < len(v); i++ {
+		var k int
+		v[i], k = binary.Uvarint(rest)
+		ok = k > 0 && v[i] <= math.MaxInt32
+		rest = rest[max(k, 0):]
+	}
+	// Counted in floats, pairs·(modules+1) < 2⁶² cannot overflow.
+	modules, pairs, n := v[0], v[2], uint64(len(rest))
+	if !ok || pairs < 1 || pairs > modules || n%8 != 0 || n/8 != pairs*(modules+1) {
+		return specHeader{}, nil, errors.New("spectral: decode spectrum: malformed header or payload size")
+	}
+	return specHeader{int(modules), int(v[1]), int(pairs)}, rest, nil
 }

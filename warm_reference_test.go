@@ -38,7 +38,7 @@ func referenceWarmDecompose(t *testing.T, h *Netlist, d int, seed *Spectrum) (*S
 	if !seed.satisfies(n, cm, want) {
 		return cold()
 	}
-	g, err := graph.FromHypergraph(h, cm, 0)
+	g, err := graph.FromHypergraph(h, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
