@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	spectral "repro"
 	"repro/internal/delta"
+	"repro/internal/trace"
 )
 
 // deltaBase returns a base netlist plus a structural ECO delta and the
@@ -158,31 +161,207 @@ func TestDeltaJobAcceptsAreaOnlySeed(t *testing.T) {
 
 // Submit owns the delta: it resolves the base by hash and applies the
 // edit, refusing an unknown base, an edit that does not apply and a
-// missing delta before anything is queued.
+// missing delta before anything is queued. A delta refused after it
+// applied (invalid options, a full queue, a pool shutting down) leaves
+// its mutant out of the netlist store, and no refusal appends a journal
+// byte.
 func TestDeltaSubmitValidation(t *testing.T) {
 	defer leakCheck(t)()
 	base, d, _ := deltaBase(t)
-	p := NewPool(Config{Workers: 1, QueueDepth: 4})
+	jnl, _ := openJournal(t, t.TempDir())
+	defer jnl.Close()
+	p := NewPool(Config{Workers: 1, QueueDepth: 1, Journal: jnl})
+	release := make(chan struct{})
+	p.runFn = func(ctx context.Context, j *Job) (*Result, error) {
+		<-release
+		return &Result{}, nil
+	}
 	p.Start()
-	defer p.Shutdown(context.Background())
+	refused := func(req Request) error {
+		t.Helper()
+		before := jnl.Stats().BytesAppended
+		_, err := p.Submit(req)
+		if n := jnl.Stats().BytesAppended - before; n != 0 {
+			t.Errorf("refused submit (%v) appended %d journal bytes, want 0", err, n)
+		}
+		return err
+	}
 
-	if _, err := p.Submit(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: "nope", Delta: d}); !errors.Is(err, ErrUnknownNetlist) {
+	if err := refused(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: "nope", Delta: d}); !errors.Is(err, ErrUnknownNetlist) {
 		t.Errorf("delta against an unknown base: err = %v, want ErrUnknownNetlist", err)
 	}
 	baseHash := storeBase(t, p, base)
 	bad := &delta.Delta{RemoveNets: []string{"no-such-net"}}
-	if _, err := p.Submit(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash, Delta: bad}); !errors.Is(err, ErrBadDelta) {
+	if err := refused(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash, Delta: bad}); !errors.Is(err, ErrBadDelta) {
 		t.Errorf("delta that does not apply: err = %v, want ErrBadDelta", err)
 	}
-	if _, err := p.Submit(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash}); err == nil || errors.Is(err, ErrBadDelta) {
+	if err := refused(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash}); err == nil || errors.Is(err, ErrBadDelta) {
 		t.Errorf("delta job without a delta: err = %v, want a refusal that is not ErrBadDelta", err)
 	}
-	if _, err := p.Submit(Request{Kind: KindDelta, Opts: spectral.Options{K: -3, Method: spectral.MELO}, BaseHash: baseHash, Delta: d}); err == nil {
+	if err := refused(Request{Kind: KindDelta, Opts: spectral.Options{K: -3, Method: spectral.MELO}, BaseHash: baseHash, Delta: d}); err == nil {
 		t.Error("delta job with invalid options accepted")
 	}
 	if n := len(p.Jobs()); n != 0 {
 		t.Errorf("%d jobs queued by refused submissions, want 0", n)
 	}
+
+	// One job on the worker and one in the queue fill the pool.
+	running, err := p.Submit(Request{Netlist: base, Opts: optsMELO(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for running.State() != Running {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := p.Submit(Request{Netlist: base, Opts: optsMELO(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := refused(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash, Delta: d}); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("delta job on a full queue: err = %v, want ErrQueueFull", err)
+	}
+	close(release)
+	if err := p.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := refused(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash, Delta: d}); !errors.Is(err, ErrShuttingDown) {
+		t.Errorf("delta job on a shut-down pool: err = %v, want ErrShuttingDown", err)
+	}
+	if st := p.Netlists(); len(st) != 1 || st[0].Hash != baseHash {
+		t.Errorf("netlist store after refused deltas holds %+v, want only the base %s", st, baseHash)
+	}
+}
+
+// cancelOnSpan cancels the job it holds when the first span named name
+// ends.
+type cancelOnSpan struct {
+	name string
+	job  atomic.Pointer[Job]
+	once sync.Once
+}
+
+func (c *cancelOnSpan) Record(r trace.SpanRecord) {
+	if j := c.job.Load(); j != nil && r.Name == c.name {
+		c.once.Do(j.Cancel)
+	}
+}
+
+// A delta job's stability report partitions the base once per base
+// netlist and option set: later deltas reuse the memoized partition and
+// report exactly what fresh partitions of both netlists give.
+func TestDeltaStabilityBaseMemo(t *testing.T) {
+	defer leakCheck(t)()
+	base := testNetlist(t)
+	deltas := []*delta.Delta{
+		{RemoveNets: []string{base.NetNames[0]}, AddNets: []delta.NetChange{{Name: "eco-x", Modules: []int{1, base.NumModules() - 2}}}},
+		{AddNets: []delta.NetChange{{Name: "eco-y", Modules: []int{0, 3, base.NumModules() - 1}}}},
+	}
+	fresh := func(h *spectral.Netlist, opts spectral.Options) *spectral.Partitioning {
+		t.Helper()
+		part, err := spectral.PartitionCtx(context.Background(), h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+
+	// The cancel sink only fires for a job it has been handed, so every
+	// case but (d) runs untouched.
+	sink := &cancelOnSpan{name: "partition"}
+	tracer := trace.New(sink)
+	p := NewPool(Config{Workers: 1, QueueDepth: 4, MaxNetlists: 2})
+	p.SetTracer(tracer)
+	p.Start()
+	defer p.Shutdown(context.Background())
+
+	baseHash := storeBase(t, p, base)
+	counts := func(hits, misses int64) {
+		t.Helper()
+		if h, m := tracer.Counter("jobs.stability_base.hits"), tracer.Counter("jobs.stability_base.misses"); h != hits || m != misses {
+			t.Errorf("stability base hits/misses = %d/%d, want %d/%d", h, m, hits, misses)
+		}
+	}
+	runDelta := func(dl *delta.Delta, opts spectral.Options) {
+		t.Helper()
+		j, err := p.Submit(Request{Kind: KindDelta, Opts: opts, BaseHash: baseHash, Delta: dl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := waitDone(t, j)
+		mut, _, err := delta.Apply(base, dl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := spectral.PartitionStability(base, mut, fresh(base, opts), fresh(mut, opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Stability, want) {
+			t.Errorf("K = %d: stability %+v, want %+v", opts.K, res.Stability, want)
+		}
+	}
+	memoHolds := func(opts spectral.Options) {
+		t.Helper()
+		got, ok := p.stabilityBase(baseHash, opts)
+		if want := fresh(base, opts); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("K = %d: memo holds %+v (ok %v), want the fresh base partition", opts.K, got, ok)
+		}
+	}
+
+	// (a) Two deltas against one base at K = 2: one miss, then one hit.
+	runDelta(deltas[0], optsMELO(2))
+	counts(0, 1)
+	runDelta(deltas[1], optsMELO(2))
+	counts(1, 1)
+	memoHolds(optsMELO(2))
+
+	// (b) K = 3 against the same base misses and replaces the slot.
+	runDelta(deltas[0], optsMELO(3))
+	counts(1, 2)
+	memoHolds(optsMELO(3))
+	if _, ok := p.stabilityBase(baseHash, optsMELO(2)); ok {
+		t.Error("K = 2 partition still memoized after a K = 3 delta")
+	}
+
+	// (c) Evicting the base drops its memo: after a re-upload the same
+	// K = 3 delta misses again.
+	storeBase(t, p, otherNetlist(t))
+	if _, ok := p.stabilityBase(baseHash, optsMELO(3)); ok {
+		t.Fatal("base still memoized after eviction")
+	}
+	storeBase(t, p, base)
+	runDelta(deltas[1], optsMELO(3))
+	counts(1, 3)
+
+	// (d) A job cancelled as its base partition starts memoizes nothing.
+	storeBase(t, p, otherNetlist(t)) // evicts the base's K = 3 memo...
+	storeBase(t, p, base)            // ...and re-uploads the base bare
+	p.runFn = func(ctx context.Context, j *Job) (*Result, error) {
+		sink.job.Store(j)
+		return p.run(ctx, j)
+	}
+	j, err := p.Submit(Request{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash, Delta: deltas[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if j.State() != Cancelled {
+		t.Fatalf("job cancelled during the base partition ended %s", j.State())
+	}
+	counts(1, 4)
+	if _, ok := p.stabilityBase(baseHash, optsMELO(2)); ok {
+		t.Error("a cancelled base partition was memoized")
+	}
+}
+
+// otherNetlist is a netlist distinct from testNetlist, to push an entry
+// out of a small netlist store.
+func otherNetlist(t *testing.T) *spectral.Netlist {
+	t.Helper()
+	h, err := spectral.GenerateBenchmark("prim1", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 // Crash-safety: a delta job interrupted mid-flight is re-enqueued on

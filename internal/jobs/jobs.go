@@ -103,8 +103,8 @@ type Request struct {
 	// KindDelta fields. BaseHash names a stored netlist, the base whose
 	// cached spectrum seeds the warm start and whose partition anchors
 	// the stability report, and Delta is the ECO edit to apply to it.
-	// Submit resolves the base, applies the delta and stores the result,
-	// which becomes the job's Netlist and Hash.
+	// Submit resolves the base and applies the delta; the result becomes
+	// the job's Netlist and Hash, and is stored once the job is admitted.
 	BaseHash string
 	Delta    *delta.Delta
 

@@ -67,7 +67,9 @@ type Config struct {
 	// it. Default nil (no persistence).
 	Store specstore.Store
 	// MaxNetlists bounds the netlist store (see AddNetlist), which
-	// evicts the least recently used netlist first. Default 128.
+	// evicts the least recently used netlist first, and with it the
+	// delta stability report's memoized base partitions, one per stored
+	// netlist. Default 128.
 	MaxNetlists int
 }
 
@@ -227,10 +229,10 @@ func (p *Pool) SetTracer(t *trace.Tracer) { p.tracer = t }
 // queue returns ErrQueueFull, a shut-down pool ErrShuttingDown. A delta
 // job's base must be stored (else ErrUnknownNetlist) and its delta must
 // apply (else ErrBadDelta); the netlist it produces is stored under the
-// base's name before the job is queued. On a durable pool the job is
-// journaled before Submit returns — an error wrapping ErrJournal means
-// the job was not durably accepted and the caller must not acknowledge
-// it.
+// base's name once the job is admitted, so a refused delta job leaves
+// nothing behind. On a durable pool the job is journaled before Submit
+// returns — an error wrapping ErrJournal means the job was not durably
+// accepted and the caller must not acknowledge it.
 func (p *Pool) Submit(req Request) (*Job, error) {
 	if req.Kind == "" {
 		req.Kind = KindPartition
@@ -238,8 +240,10 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	if !req.Kind.known() {
 		return nil, fmt.Errorf("jobs: unknown kind %q", req.Kind)
 	}
+	var baseName string
 	if req.Kind == KindDelta {
-		if err := p.resolveDelta(&req); err != nil {
+		var err error
+		if baseName, err = p.resolveDelta(&req); err != nil {
 			return nil, err
 		}
 	} else {
@@ -321,13 +325,21 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 	}
 	p.mu.Unlock()
 
-	// Journal outside the pool lock: the durable append fsyncs, and an
-	// fsync must never serialize submissions behind it. On failure the
-	// job was not durably accepted, so retract it entirely: the cancel
-	// makes whichever worker dequeues it retire it immediately, and
-	// removing it from the maps keeps a job the client was told failed
-	// out of the jobs API and out of compaction snapshots.
-	if err := p.journalSubmit(j, req); err != nil {
+	// Store a delta job's mutant and journal the job outside the pool
+	// lock: the durable appends fsync, and an fsync must never serialize
+	// submissions behind it. On failure the job was not durably
+	// accepted, so retract it entirely: the cancel makes whichever
+	// worker dequeues it retire it immediately, and removing it from the
+	// maps keeps a job the client was told failed out of the jobs API
+	// and out of compaction snapshots.
+	var err error
+	if req.Kind == KindDelta {
+		_, err = p.AddNetlist(baseName, req.Netlist)
+	}
+	if err == nil {
+		err = p.journalSubmit(j, req)
+	}
+	if err != nil {
 		j.cancel()
 		p.mu.Lock()
 		delete(p.jobs, j.id)
@@ -345,23 +357,19 @@ func (p *Pool) Submit(req Request) (*Job, error) {
 }
 
 // resolveDelta turns a delta request into the job's netlist: it looks
-// the base up by hash, applies the delta and stores the result under
-// the base's name, which also journals it on a durable pool.
-func (p *Pool) resolveDelta(req *Request) error {
+// the base up by hash and applies the delta. It returns the base's name,
+// under which Submit stores the result once the job is admitted.
+func (p *Pool) resolveDelta(req *Request) (string, error) {
 	base, info, ok := p.Netlist(req.BaseHash)
 	if !ok {
-		return fmt.Errorf("%w %q", ErrUnknownNetlist, req.BaseHash)
+		return "", fmt.Errorf("%w %q", ErrUnknownNetlist, req.BaseHash)
 	}
 	mut, reach, err := applyDelta(base, req.Delta)
 	if err != nil {
-		return err
+		return "", err
 	}
-	st, err := p.AddNetlist(info.Name, mut)
-	if err != nil {
-		return err
-	}
-	req.Netlist, req.Hash, req.base, req.reach = mut, st.Hash, base, reach
-	return nil
+	req.Netlist, req.Hash, req.base, req.reach = mut, speccache.Fingerprint(mut), base, reach
+	return info.Name, nil
 }
 
 // applyDelta is the one place an ECO delta meets its base, for a new
@@ -649,10 +657,17 @@ func (p *Pool) runJobIsolated(ctx context.Context, j *Job) (res *Result, err err
 // warm-started from the base netlist's spectrum, then compares the
 // result against the base partition. The base spectrum is resolved
 // through the same ladder (an ECO against a netlist the daemon just
-// partitioned finds it in the LRU; a cold daemon computes it — the
-// stability report's base partition needs it regardless). The mutated
-// netlist's spectrum is cached under its own fingerprint, so a repeated
-// delta submission is a pure cache hit and solves nothing.
+// partitioned finds it in the LRU; a cold daemon computes it). The
+// mutated netlist's spectrum is cached under its own fingerprint, so a
+// repeated delta submission is a pure cache hit and solves nothing.
+//
+// The base partition is a pure function of the base's content and the
+// job's options, the same for every delta of an ECO session, so it is
+// computed once: the base's netlist store entry memoizes it, keyed by
+// the full spectral.Options value (see netEntry). The store's
+// MaxNetlists bounds it and eviction drops it with its netlist; there is
+// no knob. It is not journaled, because a restarted pool recomputes it
+// on its first delta and gets the same bits, so replay is unchanged.
 func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 	req := j.req
 	isDelta := req.Kind == KindDelta
@@ -712,15 +727,33 @@ func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 		return res, nil
 	}
 
-	// Stability report: partition the base with its (already resolved)
-	// spectrum and align labels. A base-side failure degrades the report
-	// — the delta partition above is the job's answer and stands.
-	if basePart, berr := spectral.PartitionWithSpectrum(ctx, req.base, baseSp, req.Opts); berr == nil {
-		if st, serr := spectral.PartitionStability(req.base, req.Netlist, basePart, part); serr == nil {
-			res.Stability = st
+	// Stability report: align labels against the base partition, from
+	// the memo or partitioned with the base's (already resolved)
+	// spectrum. A base-side failure degrades the report — the delta
+	// partition above is the job's answer and stands — and is never
+	// memoized.
+	basePart, hit := p.stabilityBase(req.BaseHash, req.Opts)
+	if p.tracer != nil {
+		counter := "jobs.stability_base.misses"
+		if hit {
+			counter = "jobs.stability_base.hits"
 		}
-	} else if resilience.IsContextError(berr) {
-		return nil, berr
+		p.tracer.Add(counter, 1)
+	}
+	if !hit {
+		var berr error
+		if basePart, berr = spectral.PartitionWithSpectrum(ctx, req.base, baseSp, req.Opts); berr != nil {
+			if resilience.IsContextError(berr) {
+				return nil, berr
+			}
+			return res, nil
+		}
+		// Workers that miss together compute the same bits, so the later
+		// fill rewrites an equal value: no singleflight is needed.
+		p.memoizeStabilityBase(req.BaseHash, req.Opts, basePart)
+	}
+	if st, err := spectral.PartitionStability(req.base, req.Netlist, basePart, part); err == nil {
+		res.Stability = st
 	}
 	return res, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -44,19 +45,53 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-// An in-memory pool's finished job drops its netlist too.
+// An in-memory pool's finished jobs drop their netlists too, a delta
+// job both of its own; the base partition a delta job memoizes on the
+// store entry holds packed labels only, so no netlist, spectrum or
+// partition pointer outlives the job.
 func TestFinishedJobReleasesNetlistInMemory(t *testing.T) {
 	defer leakCheck(t)()
+	base, dl, _ := deltaBase(t)
 	p := NewPool(Config{Workers: 1, QueueDepth: 4})
 	p.Start()
-	j, err := p.Submit(Request{Netlist: testNetlist(t), Kind: KindOrder, Opts: spectral.Options{D: 3}})
-	if err != nil {
-		t.Fatal(err)
+	defer p.Shutdown(context.Background())
+	baseHash := storeBase(t, p, base)
+	for _, req := range []Request{
+		{Netlist: testNetlist(t), Kind: KindOrder, Opts: spectral.Options{D: 3}},
+		{Kind: KindDelta, Opts: optsMELO(2), BaseHash: baseHash, Delta: dl},
+	} {
+		j, err := p.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if h, b := netlistsOf(j); h != nil || b != nil {
+			t.Fatalf("finished %s job still references a netlist", req.Kind)
+		}
 	}
-	waitDone(t, j)
-	if h, b := netlistsOf(j); h != nil || b != nil {
-		t.Fatal("finished job still references its netlist")
+
+	p.netMu.Lock()
+	m := p.netItems[baseHash].Value.(*netEntry).base
+	p.netMu.Unlock()
+	if m == nil || len(m.labels) != base.NumModules() {
+		t.Fatalf("memo %+v, want %d packed labels", m, base.NumModules())
 	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Pointer, reflect.Interface, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("memo field %s is a %s", path, typ.Kind())
+		case reflect.Slice:
+			if typ != reflect.TypeOf(Labels(nil)) {
+				t.Errorf("memo field %s is a %s, want only Labels", path, typ)
+			}
+		}
+	}
+	walk(reflect.TypeOf(*m), "basePartition")
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
