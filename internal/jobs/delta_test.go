@@ -172,7 +172,9 @@ func TestDeltaSubmitValidation(t *testing.T) {
 	defer jnl.Close()
 	p := NewPool(Config{Workers: 1, QueueDepth: 1, Journal: jnl})
 	release := make(chan struct{})
+	started := make(chan struct{}, 1)
 	p.runFn = func(ctx context.Context, j *Job) (*Result, error) {
+		started <- struct{}{}
 		<-release
 		return &Result{}, nil
 	}
@@ -206,13 +208,12 @@ func TestDeltaSubmitValidation(t *testing.T) {
 	}
 
 	// One job on the worker and one in the queue fill the pool.
-	running, err := p.Submit(Request{Netlist: base, Opts: optsMELO(2)})
-	if err != nil {
+	if _, err := p.Submit(Request{Netlist: base, Opts: optsMELO(2)}); err != nil {
 		t.Fatal(err)
 	}
-	for running.State() != Running {
-		time.Sleep(time.Millisecond)
-	}
+	// The worker journals the job's start record before it runs it, so
+	// no write of the running job lands in the refusal's byte count.
+	<-started
 	if _, err := p.Submit(Request{Netlist: base, Opts: optsMELO(2)}); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	spectral "repro"
-	"repro/internal/delta"
 	"repro/internal/journal"
 	"repro/internal/speccache"
 )
@@ -27,29 +26,14 @@ var ErrJournal = errors.New("jobs: journal append failed")
 
 // specOf serializes a request for the journal.
 func specOf(req Request, shedFromD int) *journal.JobSpec {
-	o := req.Opts
-	s := &journal.JobSpec{
-		Kind:             string(req.Kind),
-		Method:           req.Kind.journaledMethod(o.Method),
-		K:                o.K,
-		D:                o.D,
-		Scheme:           o.Scheme,
-		MinFrac:          o.MinFrac,
-		Refine:           o.Refine,
-		Parallelism:      o.Parallelism,
-		CoarsenThreshold: o.CoarsenThreshold,
-		MaxLevels:        o.MaxLevels,
-		RefinePasses:     o.RefinePasses,
-		TimeoutNS:        int64(req.Timeout),
-		ShedFromD:        shedFromD,
-		BaseHash:         req.BaseHash,
+	return &journal.JobSpec{
+		Kind:      string(req.Kind),
+		Options:   req.Opts,
+		TimeoutNS: int64(req.Timeout),
+		ShedFromD: shedFromD,
+		BaseHash:  req.BaseHash,
+		Delta:     req.Delta,
 	}
-	if req.Delta != nil {
-		if b, err := json.Marshal(req.Delta); err == nil {
-			s.Delta = b
-		}
-	}
-	return s
 }
 
 // requestOf rebuilds a Request from a replayed spec. The netlist is
@@ -59,37 +43,10 @@ func requestOf(spec *journal.JobSpec, hash string) (Request, error) {
 	if !kind.known() {
 		return Request{}, fmt.Errorf("jobs: replayed spec has unknown kind %q", spec.Kind)
 	}
-	method := spectral.MELO // order specs name no method
-	if kind != KindOrder {
-		var err error
-		if method, err = spectral.ParseMethod(spec.Method); err != nil {
-			return Request{}, err
-		}
-	}
-	req := Request{
-		Hash: hash, Kind: kind, Timeout: time.Duration(spec.TimeoutNS),
-		Opts: spectral.Options{
-			Method:           method,
-			K:                spec.K,
-			D:                spec.D,
-			Scheme:           spec.Scheme,
-			MinFrac:          spec.MinFrac,
-			Refine:           spec.Refine,
-			Parallelism:      spec.Parallelism,
-			CoarsenThreshold: spec.CoarsenThreshold,
-			MaxLevels:        spec.MaxLevels,
-			RefinePasses:     spec.RefinePasses,
-		},
-		BaseHash: spec.BaseHash,
-	}
-	if len(spec.Delta) > 0 {
-		var d delta.Delta
-		if err := json.Unmarshal(spec.Delta, &d); err != nil {
-			return Request{}, fmt.Errorf("jobs: replayed delta spec: %w", err)
-		}
-		req.Delta = &d
-	}
-	return req, nil
+	return Request{
+		Hash: hash, Kind: kind, Opts: spec.Options, Timeout: time.Duration(spec.TimeoutNS),
+		BaseHash: spec.BaseHash, Delta: spec.Delta,
+	}, nil
 }
 
 // appendJournal writes a buffered (non-durable) record; failures are
@@ -312,14 +269,22 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, error) {
 			return j.req.Netlist != nil
 		}
 
-		failReplay := func(reason error) {
-			j.state = Failed
-			j.err = reason
-			j.started = j.created
-			j.finished = now
+		// settle ends j in a terminal state. A recovered state keeps its
+		// journaled finish time; a state this replay decides finishes now
+		// and is journaled as an outcome.
+		settle := func(st State, res *Result, err error, recovered bool) {
+			j.state, j.result, j.err = st, res, err
+			j.started, j.finished = j.created, now
+			if recovered {
+				j.finished = finishedTime(jr.FinishedNS, now)
+			} else {
+				outcomes = append(outcomes, finishRecord(j.id, st, nil, err, now.UnixNano()))
+			}
 			close(j.done)
+		}
+		failReplay := func(reason error) {
+			settle(Failed, nil, reason, false)
 			stats.FailedOnReplay++
-			outcomes = append(outcomes, finishRecord(j.id, Failed, nil, reason, now.UnixNano()))
 		}
 
 		switch {
@@ -342,38 +307,28 @@ func (p *Pool) Restore(rep *journal.ReplayResult) (RestoreStats, error) {
 				failReplay(errors.New("jobs: result lost in journal replay"))
 				break
 			}
-			j.state = Done
-			j.result = res
-			j.started = j.created
-			j.finished = finishedTime(jr.FinishedNS, now)
-			close(j.done)
+			settle(Done, res, nil, true)
 			stats.RecoveredTerminal++
 
 		case jr.Terminal():
-			j.state = State(jr.State)
-			j.started = j.created
-			j.finished = finishedTime(jr.FinishedNS, now)
-			if jr.Error != "" {
-				j.err = errors.New(jr.Error)
-			} else if j.state == Cancelled {
-				j.err = context.Canceled
-			} else {
-				j.err = errors.New("jobs: failed before restart (journal replay)")
+			var err error
+			switch {
+			case jr.Error != "":
+				err = errors.New(jr.Error)
+			case jr.State == journal.StateCancelled:
+				err = context.Canceled
+			default:
+				err = errors.New("jobs: failed before restart (journal replay)")
 			}
-			close(j.done)
+			settle(State(jr.State), nil, err, true)
 			stats.RecoveredTerminal++
 
 		case jr.CancelRequested:
 			// Cancelled while queued or running, crash before the worker
 			// recorded the terminal state: honour the cancellation instead
 			// of re-running.
-			j.state = Cancelled
-			j.err = context.Canceled
-			j.started = j.created
-			j.finished = now
-			close(j.done)
+			settle(Cancelled, nil, context.Canceled, false)
 			stats.CancelledOnReplay++
-			outcomes = append(outcomes, finishRecord(j.id, Cancelled, nil, j.err, now.UnixNano()))
 
 		default:
 			// Queued or running at crash time: run it (again). The pipeline

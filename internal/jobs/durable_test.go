@@ -148,7 +148,7 @@ func TestRestoreFailsJobWithLostNetlist(t *testing.T) {
 	jnl, _ := openJournal(t, dir)
 	err := jnl.AppendDurable(journal.Record{
 		Type: journal.TypeSubmit, ID: "job-000007", Hash: "sha256:missing",
-		Spec: &journal.JobSpec{Kind: string(KindOrder), D: 5}, UnixNS: 1,
+		Spec: &journal.JobSpec{Kind: string(KindOrder), Options: spectral.Options{D: 5}}, UnixNS: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestRestoreReanchorsQueueWaitClock(t *testing.T) {
 	}
 	err := jnl.AppendDurable(journal.Record{
 		Type: journal.TypeSubmit, ID: "job-000001", Hash: hash,
-		Spec: &journal.JobSpec{Kind: string(KindOrder), D: 3}, UnixNS: old.UnixNano(),
+		Spec: &journal.JobSpec{Kind: string(KindOrder), Options: spectral.Options{D: 3}}, UnixNS: old.UnixNano(),
 	})
 	if err != nil {
 		t.Fatal(err)

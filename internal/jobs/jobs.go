@@ -42,17 +42,6 @@ const (
 
 func (k Kind) known() bool { return k == KindPartition || k == KindOrder || k == KindDelta }
 
-// journaledMethod is the method name a job of kind k writes to its
-// journal spec. An order job is always MELO, and the order specs already
-// on disk name no method, so none is written for it: every order spec
-// keeps that one format.
-func (k Kind) journaledMethod(m spectral.Method) string {
-	if k == KindOrder {
-		return ""
-	}
-	return m.String()
-}
-
 // State is a job's lifecycle state.
 type State string
 

@@ -545,11 +545,11 @@ func TestJobSpecAndStatusPerKind(t *testing.T) {
 		{"order ignores partition fields", Request{Netlist: base, Kind: KindOrder, Opts: spectral.Options{K: 4, Method: spectral.SB, D: 3, MinFrac: 0.3}},
 			`{"kind":"order","d":3}`, "melo", 0, 3},
 		{"partition", Request{Netlist: base, Opts: spectral.Options{K: 3, Method: spectral.SFC, D: 4, Refine: true}},
-			`{"kind":"partition","method":"sfc","k":3,"d":4,"refine":true}`, "sfc", 3, 4},
+			`{"kind":"partition","k":3,"method":"sfc","d":4,"refine":true}`, "sfc", 3, 4},
 		{"partition ignores delta fields", Request{Netlist: base, Opts: spectral.Options{K: 2}, BaseHash: baseHash, Delta: d},
-			`{"kind":"partition","method":"melo","k":2}`, "melo", 2, 0},
+			`{"kind":"partition","k":2}`, "melo", 2, 0},
 		{"delta", Request{Kind: KindDelta, Opts: spectral.Options{K: 2, Method: spectral.MELO, D: 6}, BaseHash: baseHash, Delta: d},
-			`{"kind":"delta","method":"melo","k":2,"d":6,"baseHash":"` + speccache.Fingerprint(base) + `"}`, "melo", 2, 6},
+			`{"kind":"delta","k":2,"d":6,"baseHash":"` + speccache.Fingerprint(base) + `"}`, "melo", 2, 6},
 	}
 	for _, c := range cases {
 		j, err := p.Submit(c.req)
@@ -559,7 +559,7 @@ func TestJobSpecAndStatusPerKind(t *testing.T) {
 		waitDone(t, j)
 		spec := specOf(j.req, j.shedFromD)
 		if (spec.Delta != nil) != (c.req.Kind == KindDelta) {
-			t.Errorf("%s: spec delta payload = %s, want one iff the job is a delta job", c.name, spec.Delta)
+			t.Errorf("%s: spec delta payload = %v, want one iff the job is a delta job", c.name, spec.Delta)
 		}
 		spec.Delta = nil
 		if b, err := json.Marshal(spec); err != nil || string(b) != c.spec {

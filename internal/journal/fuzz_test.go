@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"testing"
+
+	spectral "repro"
 )
 
 // frameT frames rec for corpus construction, failing the test on
@@ -25,7 +27,7 @@ func validSegment(t interface{ Fatal(...any) }) []byte {
 	buf.WriteString(segMagic)
 	buf.Write(frameT(t, Record{Type: TypeNetlist, Hash: "sha256:ab", Name: "prim1", Netlist: []byte("net n1 a b\nnet n2 b c\n")}))
 	buf.Write(frameT(t, Record{Type: TypeSubmit, ID: "job-000001", Hash: "sha256:ab",
-		Spec: &JobSpec{Kind: "partition", Method: "melo", K: 2, D: 10, TimeoutNS: 5e9}}))
+		Spec: &JobSpec{Kind: "partition", Options: spectral.Options{Method: spectral.MELO, K: 2, D: 10}, TimeoutNS: 5e9}}))
 	buf.Write(frameT(t, Record{Type: TypeStart, ID: "job-000001"}))
 	buf.Write(frameT(t, Record{Type: TypeFinish, ID: "job-000001", State: StateDone, Result: json.RawMessage(`{"assign":[0,1],"k":2}`)}))
 	buf.Write(frameT(t, Record{Type: TypeSpectrum, Hash: "sha256:ab", Model: "partitioning-specific", Pairs: 11}))

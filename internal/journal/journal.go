@@ -44,6 +44,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	spectral "repro"
+	"repro/internal/delta"
 )
 
 // segMagic opens every segment file; the version digit guards format
@@ -74,24 +77,12 @@ const (
 	TypeSpectrum Type = "spectrum"
 )
 
-// JobSpec is the journal's serialization of a job request — plain
-// fields, decoupled from the jobs package so the log format outlives
-// refactors of the in-memory types.
+// JobSpec is the journal's serialization of a job request: its kind,
+// its spectral.Options in their JSON spelling (the one the spectrald
+// job body uses), and what only replay needs.
 type JobSpec struct {
-	Kind        string  `json:"kind"`
-	Method      string  `json:"method,omitempty"`
-	K           int     `json:"k,omitempty"`
-	D           int     `json:"d,omitempty"`
-	Scheme      int     `json:"scheme,omitempty"`
-	MinFrac     float64 `json:"minFrac,omitempty"`
-	Refine      bool    `json:"refine,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
-	// CoarsenThreshold, MaxLevels and RefinePasses configure the
-	// multilevel V-cycle (method "mlmelo"); zero values select the
-	// façade defaults and flat methods ignore them.
-	CoarsenThreshold int `json:"coarsenThreshold,omitempty"`
-	MaxLevels        int `json:"maxLevels,omitempty"`
-	RefinePasses     int `json:"refinePasses,omitempty"`
+	Kind string `json:"kind"`
+	spectral.Options
 	// TimeoutNS is the per-request deadline in nanoseconds (0 = none).
 	// Replay re-anchors it at restart time.
 	TimeoutNS int64 `json:"timeoutNS,omitempty"`
@@ -100,10 +91,10 @@ type JobSpec struct {
 	ShedFromD int `json:"shedFromD,omitempty"`
 	// BaseHash and Delta describe a kind "delta" job: the base netlist's
 	// content hash (its body is journaled like any other netlist) and
-	// the ECO delta as raw JSON, so replay can rebuild the mutated
-	// netlist from base+delta even if the mutated body record is lost.
-	BaseHash string          `json:"baseHash,omitempty"`
-	Delta    json.RawMessage `json:"delta,omitempty"`
+	// the ECO delta, so replay can rebuild the mutated netlist from
+	// base+delta even if the mutated body record is lost.
+	BaseHash string       `json:"baseHash,omitempty"`
+	Delta    *delta.Delta `json:"delta,omitempty"`
 }
 
 // Record is one journal entry. Which fields are meaningful depends on

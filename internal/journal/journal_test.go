@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	spectral "repro"
 )
 
 func openT(t *testing.T, dir string, opts Options) (*Journal, *ReplayResult) {
@@ -21,7 +23,7 @@ func openT(t *testing.T, dir string, opts Options) (*Journal, *ReplayResult) {
 }
 
 func submitRec(id, hash string) Record {
-	return Record{Type: TypeSubmit, ID: id, Hash: hash, Spec: &JobSpec{Kind: "partition", Method: "melo", K: 2, D: 10}}
+	return Record{Type: TypeSubmit, ID: id, Hash: hash, Spec: &JobSpec{Kind: "partition", Options: spectral.Options{Method: spectral.MELO, K: 2, D: 10}}}
 }
 
 func bodyOf(s string) func() ([]byte, error) {
@@ -80,7 +82,7 @@ func TestRoundTrip(t *testing.T) {
 	if j1.ID != "job-000001" || j1.State != StateDone || string(j1.Result) != `{"k":2}` {
 		t.Errorf("job 1 replay: %+v", j1)
 	}
-	if j1.Spec == nil || j1.Spec.Method != "melo" || j1.Spec.D != 10 {
+	if j1.Spec == nil || j1.Spec.Method != spectral.MELO || j1.Spec.D != 10 {
 		t.Errorf("job 1 spec: %+v", j1.Spec)
 	}
 	if j2.State != StatePending || !j2.CancelRequested {

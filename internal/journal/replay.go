@@ -211,8 +211,18 @@ func (r *ReplayResult) replaySegment(name string, data []byte) {
 			// record — the framing is intact, so the next one is safe.
 			st.CorruptRecords++
 			st.warnf("segment %s: undecodable record at offset %d: %v", name, off, err)
-			off += 8 + n
-			continue
+			// A record whose spec alone does not decode (a method this
+			// build does not know) still names its job: fold it without
+			// the spec, so the job fails on restore instead of vanishing.
+			var bare struct {
+				Record
+				Spec json.RawMessage `json:"spec"`
+			}
+			if json.Unmarshal(payload, &bare) != nil {
+				off += 8 + n
+				continue
+			}
+			rec = bare.Record
 		}
 		r.fold(rec)
 		st.Records++

@@ -235,22 +235,11 @@ type jobRequest struct {
 	Netlist string `json:"netlist"`
 	// Kind is "partition" (default) or "order".
 	Kind string `json:"kind"`
-	// Method names the partitioning algorithm (see ParseMethod);
-	// default "melo". Ignored for kind "order".
-	Method string `json:"method"`
-	// K, D, Scheme, MinFrac, Refine mirror spectral.Options; zero
-	// values select the façade defaults.
-	K       int     `json:"k"`
-	D       int     `json:"d"`
-	Scheme  int     `json:"scheme"`
-	MinFrac float64 `json:"minFrac"`
-	Refine  bool    `json:"refine"`
-	// CoarsenThreshold, MaxLevels and RefinePasses mirror the multilevel
-	// fields of spectral.Options (method "mlmelo"); zero values select
-	// the façade defaults, and the flat methods ignore them.
-	CoarsenThreshold int `json:"coarsenThreshold"`
-	MaxLevels        int `json:"maxLevels"`
-	RefinePasses     int `json:"refinePasses"`
+	// Options are the job's options in spectral.Options' JSON spelling;
+	// zero values select the façade defaults. Parallelism is the
+	// daemon's -parallelism flag, not the client's: the handlers drop
+	// it.
+	spectral.Options
 	// Timeout is the job's end-to-end deadline (queue wait included) as
 	// a Go duration string, e.g. "30s". The Spectrald-Timeout request
 	// header is an alternative spelling; the body field wins when both
@@ -273,7 +262,7 @@ func parseTimeout(req jobRequest, r *http.Request) (time.Duration, error) {
 		return 0, fmt.Errorf("bad timeout %q: %v", raw, err)
 	}
 	if d < 0 {
-		return 0, fmt.Errorf("bad timeout %q: must be positive", raw)
+		return 0, fmt.Errorf("bad timeout %q: must not be negative", raw)
 	}
 	return d, nil
 }
@@ -298,53 +287,19 @@ func (s *Server) handlePostJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	jr := jobs.Request{Netlist: h, Hash: st.Hash, Timeout: timeout}
 	switch req.Kind {
-	case "", "partition":
-		jr.Kind = jobs.KindPartition
-		opts, err := partitionOptions(req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		jr.Opts = opts
-	case "order":
-		jr.Kind = jobs.KindOrder
-		jr.Opts = spectral.Options{D: req.D, Scheme: req.Scheme}
+	case "", string(jobs.KindPartition), string(jobs.KindOrder):
 	default:
 		writeError(w, http.StatusBadRequest, "unknown kind %q (want partition|order)", req.Kind)
 		return
 	}
-	j, err := s.pool.Submit(jr)
+	req.Parallelism = 0
+	j, err := s.pool.Submit(jobs.Request{Netlist: h, Hash: st.Hash, Kind: jobs.Kind(req.Kind), Opts: req.Options, Timeout: timeout})
 	if err != nil {
 		s.writePoolError(w, err, http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.Status())
-}
-
-// partitionOptions translates the request's option fields into
-// spectral.Options, shared by the partition and delta submissions.
-func partitionOptions(req jobRequest) (spectral.Options, error) {
-	method := spectral.MELO
-	if req.Method != "" {
-		var err error
-		method, err = spectral.ParseMethod(req.Method)
-		if err != nil {
-			return spectral.Options{}, err
-		}
-	}
-	return spectral.Options{
-		K:                req.K,
-		Method:           method,
-		D:                req.D,
-		Scheme:           req.Scheme,
-		MinFrac:          req.MinFrac,
-		Refine:           req.Refine,
-		CoarsenThreshold: req.CoarsenThreshold,
-		MaxLevels:        req.MaxLevels,
-		RefinePasses:     req.RefinePasses,
-	}, nil
 }
 
 // writePoolError maps a pool failure onto HTTP: 429 with backoff, 503
@@ -407,14 +362,10 @@ func (s *Server) handlePostDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := partitionOptions(req.jobRequest)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	req.Parallelism = 0
 	j, err := s.pool.Submit(jobs.Request{
 		Kind:     jobs.KindDelta,
-		Opts:     opts,
+		Opts:     req.Options,
 		Timeout:  timeout,
 		BaseHash: r.PathValue("hash"),
 		Delta:    req.Delta,

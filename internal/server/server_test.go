@@ -241,6 +241,7 @@ func TestBadRequests(t *testing.T) {
 		{`{not json`, http.StatusBadRequest},
 		{`{"netlist":"sha256:nope"}`, http.StatusNotFound},
 		{fmt.Sprintf(`{"netlist":%q,"method":"quantum"}`, hash), http.StatusBadRequest},
+		{fmt.Sprintf(`{"netlist":%q,"kind":"order","method":"quantum"}`, hash), http.StatusBadRequest},
 		{fmt.Sprintf(`{"netlist":%q,"kind":"juggle"}`, hash), http.StatusBadRequest},
 		{fmt.Sprintf(`{"netlist":%q,"k":1}`, hash), http.StatusBadRequest},
 	}

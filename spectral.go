@@ -117,35 +117,62 @@ func ParseMethod(s string) (Method, error) {
 	return 0, fmt.Errorf("spectral: unknown method %q (want %s)", s, methodHelp())
 }
 
-// Options configures Partition.
+// MarshalText encodes the method as its registry name, the spelling
+// Options uses in JSON.
+func (m Method) MarshalText() ([]byte, error) {
+	info := methodInfoOf(m)
+	if info == nil {
+		return nil, fmt.Errorf("spectral: unknown method %d", int(m))
+	}
+	return []byte(info.name), nil
+}
+
+// UnmarshalText decodes a registered method name; the empty name is
+// MELO, the default.
+func (m *Method) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*m = MELO
+		return nil
+	}
+	parsed, err := ParseMethod(string(b))
+	if err != nil {
+		return err
+	}
+	*m = parsed
+	return nil
+}
+
+// Options configures Partition. Its JSON spelling is the spectrald job
+// body's and the daemon journal's; every field is omitted at its zero
+// value, which selects the default.
 type Options struct {
 	// K is the number of clusters (default 2).
-	K int
+	K int `json:"k,omitempty"`
 	// Method selects the algorithm (default MELO).
-	Method Method
+	Method Method `json:"method,omitempty"`
 	// D is the number of non-trivial eigenvectors for MELO/SFC orderings
 	// (default 10, the paper's main setting).
-	D int
+	D int `json:"d,omitempty"`
 	// Scheme selects MELO's weighting scheme (0–3; default scheme #1).
-	Scheme int
+	Scheme int `json:"scheme,omitempty"`
 	// MinFrac is the balance bound for bipartitioning splits: the smaller
 	// side holds at least this fraction of the modules (default 0.45, the
 	// paper's Table 5 setting). Ignored for k > 2, where DP-RP's
 	// restricted-partitioning bounds apply.
-	MinFrac float64
+	MinFrac float64 `json:"minFrac,omitempty"`
 	// Refine post-processes the partitioning with Fiduccia–Mattheyses
 	// passes (the paper's iterative-improvement extension): direct FM
 	// for k = 2, pairwise FM sweeps for k > 2.
-	Refine bool
+	Refine bool `json:"refine,omitempty"`
 	// CoarsenThreshold stops MultilevelMELO's coarsening once the
 	// netlist has at most this many modules (default 128; never below
 	// 2·K). Ignored by the flat methods.
-	CoarsenThreshold int
+	CoarsenThreshold int `json:"coarsenThreshold,omitempty"`
 	// MaxLevels caps MultilevelMELO's coarsening depth (default 32).
-	MaxLevels int
+	MaxLevels int `json:"maxLevels,omitempty"`
 	// RefinePasses is MultilevelMELO's FM pass budget per uncoarsening
 	// level (default 4; < 0 disables per-level refinement).
-	RefinePasses int
+	RefinePasses int `json:"refinePasses,omitempty"`
 	// Parallelism bounds the worker goroutines the numerical kernels
 	// (row-sharded MatVec, block Gram–Schmidt reorthogonalization,
 	// MELO's candidate scans, per-component eigensolves) may use for
@@ -155,7 +182,7 @@ type Options struct {
 	// independently of the worker count, so every setting produces the
 	// same partitioning and the same ordering, bit for bit (see
 	// DESIGN.md, "The parallelism model").
-	Parallelism int
+	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // Validate reports whether the options are usable for partitioning h,
