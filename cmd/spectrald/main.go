@@ -14,7 +14,6 @@
 //	          [-journal-dir DIR] [-max-queue-wait D]
 //	          [-shed-policy none|degrade|reject]
 //	          [-store-dir DIR]
-//	          [-peer-self URL] [-peers URL,URL,...]
 //	          [-debug-addr 127.0.0.1:8091] [-trace out.jsonl]
 //	          [-trace-ring N] [-trace-chunks N]
 //
@@ -37,22 +36,16 @@
 // cheaper eigenvector count, or reject early).
 //
 // -store-dir adds a persistent spectrum tier behind the in-memory LRU:
-// computed and peer-fetched eigendecompositions are written through to
-// CRC-framed files in that directory, so an LRU eviction loses nothing,
-// and a restarted daemon serves warm requests by decoding instead of
-// recomputing. Corrupt entries are quarantined on read, never served.
+// computed eigendecompositions are written through to CRC-framed files
+// in that directory, so an LRU eviction loses nothing, and a restarted
+// daemon serves warm requests by decoding instead of recomputing.
+// Corrupt entries are quarantined on read, never served.
 //
 // Concurrent jobs needing a decomposition of the same netlist and model
 // share one eigensolve; if it comes out smaller than the largest of
 // them needs, one follow-up solve sized to that job serves the rest.
-// There is nothing to configure.
-//
-// -peers joins a static shard of spectrald instances (comma-separated
-// base URLs) with -peer-self naming this instance's own base URL as the
-// peers spell it. Spectrum lookups route to the instance owning the
-// netlist fingerprint (rendezvous hashing); a dead peer degrades to
-// local compute, never to an error. See DESIGN.md, "The spectrum
-// distribution tier: store, coalescing, sharding".
+// There is nothing to configure. See DESIGN.md, "The spectrum
+// distribution tier: store and coalescing".
 //
 // POST /v1/netlists/{hash}/delta submits an incremental (ECO) job: the
 // body's delta is applied to the stored base netlist and the result is
@@ -83,7 +76,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -108,8 +100,6 @@ func main() {
 		maxQueueWait = flag.Duration("max-queue-wait", 0, "fail jobs queued longer than this (0 = unbounded)")
 		shedPolicy   = flag.String("shed-policy", "none", "overload response: none|degrade|reject")
 		storeDir     = flag.String("store-dir", "", "persistent spectrum store directory; empty = in-memory cache only")
-		peerSelf     = flag.String("peer-self", "", "this instance's base URL as shard peers spell it (required with -peers)")
-		peers        = flag.String("peers", "", "comma-separated shard peer base URLs; empty = no sharding")
 		debugAddr    = flag.String("debug-addr", "", "diagnostics listen address (pprof, /debug/trace, /debug/report); empty = disabled")
 		traceOut     = flag.String("trace", "", "append finished spans as JSON lines to this file")
 		traceRing    = flag.Int("trace-ring", 4096, "recent spans retained for /debug/trace")
@@ -120,18 +110,6 @@ func main() {
 	policy, ok := jobs.ParseShedPolicy(*shedPolicy)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "spectrald: unknown -shed-policy %q (want none|degrade|reject)\n", *shedPolicy)
-		os.Exit(2)
-	}
-	var peerList []string
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
-			}
-		}
-	}
-	if len(peerList) > 0 && *peerSelf == "" {
-		fmt.Fprintln(os.Stderr, "spectrald: -peers requires -peer-self")
 		os.Exit(2)
 	}
 	if err := run(config{
@@ -145,8 +123,6 @@ func main() {
 		maxQueueWait: *maxQueueWait,
 		shedPolicy:   policy,
 		storeDir:     *storeDir,
-		peerSelf:     *peerSelf,
-		peers:        peerList,
 		debugAddr:    *debugAddr,
 		traceOut:     *traceOut,
 		traceRing:    *traceRing,
@@ -166,8 +142,6 @@ type config struct {
 	maxQueueWait                   time.Duration
 	shedPolicy                     jobs.ShedPolicy
 	storeDir                       string
-	peerSelf                       string
-	peers                          []string
 	debugAddr, traceOut            string
 	traceRing, traceChunks         int
 }
@@ -227,12 +201,6 @@ func run(cfg config) error {
 	})
 	pool.SetTracer(tracer)
 	srv := server.New(pool, server.Config{Tracer: tracer})
-	if len(cfg.peers) > 0 {
-		if err := srv.ConfigureSharding(cfg.peerSelf, cfg.peers); err != nil {
-			return fmt.Errorf("configure sharding: %w", err)
-		}
-		log.Printf("shard ring: %s", srv.Ring())
-	}
 	if jnl != nil {
 		stats, err := pool.Restore(replay)
 		if err != nil {

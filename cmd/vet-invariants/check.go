@@ -31,7 +31,6 @@ var defaultDaemonPackages = []string{
 	"internal/server",
 	"internal/journal",
 	"internal/specstore",
-	"internal/shard",
 	"internal/coarsen",
 	"internal/multilevel",
 }

@@ -443,9 +443,8 @@ func (p *Pool) prewarm(hints []journal.SpectrumHint, nets map[string]*spectral.N
 		p.cache.MarkExpected(r.key)
 		// The tier ladder means a prewarm against a populated persistent
 		// store repopulates the LRU by decoding, not recomputing — the
-		// zero-recompute warm restart. The peer is skipped: a restart
-		// should not hammer shard peers for work it can do itself.
-		_, hit, err := p.fetch(p.baseCtx, r, false, nil, nil)
+		// zero-recompute warm restart.
+		_, hit, err := p.fetch(p.baseCtx, r, nil, nil)
 		if p.tracer != nil && err == nil && !hit {
 			p.tracer.Add("speccache.prewarmed", 1)
 		}

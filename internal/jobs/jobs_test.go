@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	spectral "repro"
 	"repro/internal/speccache"
+	"repro/internal/trace"
 )
 
 // leakCheck snapshots the goroutine count and returns a func that fails
@@ -481,18 +485,70 @@ func TestConcurrentEqualsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every request but KP's uses the partitioning-specific model: one
+	// of them starts its compute and the rest must wait on it. The gate
+	// holds each solve until they do, so a job that reaches the cache
+	// late cannot find the compute finished and start another.
+	gate := &solveGate{waiters: -1}
+	for _, r := range reqs {
+		if r.Opts.Method != spectral.KP {
+			gate.waiters++
+		}
+	}
 	concurrent := NewPool(Config{Workers: len(reqs), QueueDepth: 16})
+	concurrent.SetTracer(trace.New(gate))
 	concurrent.Start()
 	defer concurrent.Shutdown(context.Background())
 	got := runAll(t, concurrent, reqs)
 	assertSameResults(t, want, got)
 
+	if !gate.joined.Load() {
+		t.Errorf("%d jobs never waited together on one in-flight compute", gate.waiters)
+	}
 	// The partitioning-specific jobs share at most two eigensolves (one
 	// compute plus one follow-up sized to the largest waiter); KP's
 	// Frankle model is a single request, so exactly one more.
 	if st := concurrent.Stats(); st.Computed < 2 || st.Computed > 3 {
 		t.Errorf("computed %d decompositions, want 2 or 3 (at most two per clique model)", st.Computed)
 	}
+}
+
+// solveGate is a trace sink that holds every eigensolve at the end of
+// its "decompose" span until waiters goroutines are parked in the
+// spectrum cache on another caller's compute, or for 20 s at most.
+type solveGate struct {
+	waiters int
+	once    sync.Once
+	joined  atomic.Bool
+}
+
+func (g *solveGate) Record(r trace.SpanRecord) {
+	if r.Name == "decompose" {
+		g.once.Do(g.wait)
+	}
+}
+
+func (g *solveGate) wait() {
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if cacheWaiters() >= g.waiters {
+			g.joined.Store(true)
+			return
+		}
+	}
+}
+
+// cacheWaiters counts the goroutines blocked in the spectrum cache's
+// wait for an in-flight compute of their key.
+func cacheWaiters() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if header, frames, ok := strings.Cut(g, "\n"); ok && strings.Contains(header, "[select") &&
+			strings.HasPrefix(frames, "repro/internal/speccache.(*Cache).getOrCompute(") {
+			n++
+		}
+	}
+	return n
 }
 
 // Jobs over different netlists or clique models must not coalesce:

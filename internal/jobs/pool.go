@@ -62,9 +62,8 @@ type Config struct {
 	CompactEvery int
 	// Store, when set, is the persistent spectrum tier behind the
 	// in-memory LRU (see speccache.Cache.Spectrum): misses consult it
-	// before asking a peer or solving, and every spectrum a peer or a
-	// solve delivers is written through to it. The pool does not close
-	// it. Default nil (no persistence).
+	// before solving, and every solve is written through to it. The
+	// pool does not close it. Default nil (no persistence).
 	Store specstore.Store
 	// MaxNetlists bounds the netlist store (see AddNetlist), which
 	// evicts the least recently used netlist first, and with it the
@@ -112,9 +111,9 @@ type Stats struct {
 	Cache                                     speccache.Stats
 	QueueWait, Spectrum, Solve                StageStats
 	// Computed counts eigendecompositions this process actually solved
-	// — as opposed to serving from the LRU, the persistent store
-	// (Cache.StoreHits) or a shard peer (Cache.RemoteHits). A warm
-	// restart against a populated store should leave Computed at zero.
+	// — as opposed to serving from the LRU or the persistent store
+	// (Cache.StoreHits). A warm restart against a populated store
+	// should leave Computed at zero.
 	Computed uint64
 	// Warm* count KindDelta eigensolves by warm-start outcome (see
 	// spectral.WarmInfo): Accepted refreshed the base spectrum without
@@ -216,9 +215,8 @@ func (p *Pool) Start() {
 	}
 }
 
-// Cache exposes the spectrum tier ladder: the serving layer attaches
-// shard peers to it, answers their lookups and offers from it, and
-// reads its counters and store for metrics.
+// Cache exposes the spectrum tier ladder, whose counters and store the
+// serving layer reads for metrics.
 func (p *Pool) Cache() *speccache.Cache { return p.cache }
 
 // SetTracer attaches a tracer to the pool's job executions. Call before
@@ -684,13 +682,13 @@ func (p *Pool) run(ctx context.Context, j *Job) (*Result, error) {
 			err  error
 		)
 		if isDelta {
-			if baseSp, _, err = p.fetch(ctx, newSpecReq(req.base, req.BaseHash, spec), true, nil, nil); err != nil {
+			if baseSp, _, err = p.fetch(ctx, newSpecReq(req.base, req.BaseHash, spec), nil, nil); err != nil {
 				j.recordSpectrum(time.Since(t))
 				return nil, fmt.Errorf("jobs: base spectrum: %w", err)
 			}
 			warm = &spectral.WarmInfo{}
 		}
-		sp, res.SpectrumCacheHit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), true, baseSp, warm)
+		sp, res.SpectrumCacheHit, err = p.fetch(ctx, newSpecReq(req.Netlist, req.Hash, spec), baseSp, warm)
 		j.recordSpectrum(time.Since(t))
 		if err != nil {
 			return nil, err
@@ -790,10 +788,9 @@ func newSpecReq(h *spectral.Netlist, hash string, spec spectral.SpectrumSpec) sp
 }
 
 // fetch resolves r through the spectrum cache's tier ladder (see
-// speccache.Cache.Spectrum), asking the shard peer only when peer is
-// set. The reported hit covers every tier but the eigensolve: callers
-// learn whether the job skipped its O(d·n²) compute, not which tier
-// paid.
+// speccache.Cache.Spectrum). The reported hit covers every tier but
+// the eigensolve: callers learn whether the job skipped its O(d·n²)
+// compute, not which tier paid.
 //
 // The solve runs under the pool's base context, not the caller's:
 // cancelling one job must not poison the shared fetch other jobs may be
@@ -801,9 +798,9 @@ func newSpecReq(h *spectral.Netlist, hash string, spec spectral.SpectrumSpec) sp
 // the warm-start entry; a nil seed is a plain cold solve. When warm is
 // non-nil the outcome lands in *warm (a nil seed reports "cold"); a
 // tier hit leaves *warm untouched, since nothing was solved.
-func (p *Pool) fetch(ctx context.Context, r specReq, peer bool, seed *spectral.Spectrum, warm *spectral.WarmInfo) (*spectral.Spectrum, bool, error) {
+func (p *Pool) fetch(ctx context.Context, r specReq, seed *spectral.Spectrum, warm *spectral.WarmInfo) (*spectral.Spectrum, bool, error) {
 	computed := false
-	sp, err := p.cache.Spectrum(ctx, r.h, r.key, r.pairs, peer, func(cctx context.Context, pairs int) (*spectral.Spectrum, error) {
+	sp, err := p.cache.Spectrum(ctx, r.h, r.key, r.pairs, func(cctx context.Context, pairs int) (*spectral.Spectrum, error) {
 		// Detach from the caller's cancellation but keep its trace: the
 		// decompose spans nest under this job's cache.lookup span even
 		// though the solve outlives the job on purpose.

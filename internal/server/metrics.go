@@ -45,13 +45,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("spectrald_parallelism", "Worker goroutines per numerical kernel.", parallel.Limit())
 
 	counter("spectrald_spectrum_cache_hits_total", "Jobs served by a cached eigendecomposition.", st.Cache.Hits)
-	counter("spectrald_spectrum_cache_misses_total", "Eigendecompositions computed (cache misses).", st.Cache.Misses)
+	counter("spectrald_spectrum_cache_misses_total", "Spectrum lookups the LRU missed (served by the store or solved).", st.Cache.Misses)
 	counter("spectrald_spectrum_cache_evictions_total", "Cached decompositions evicted by the LRU bound.", st.Cache.Evictions)
 	counter("spectrald_spectrum_cache_warm_hints_total", "Decompositions prewarmed from journal replay hints.", st.Cache.WarmHints)
 	gauge("spectrald_spectrum_cache_entries", "Decompositions currently cached.", st.Cache.Entries)
 	counter("spectrald_spectrum_computed_total", "Eigendecompositions actually solved by this process (not served by any cache tier).", st.Computed)
 	counter("spectrald_spectrum_store_hits_total", "Spectrum fetches served by the persistent store tier.", st.Cache.StoreHits)
-	counter("spectrald_spectrum_remote_hits_total", "Spectrum fetches served by a shard peer.", st.Cache.RemoteHits)
 
 	// Incremental (ECO) delta jobs: eigensolves by warm-start outcome.
 	fmt.Fprintf(&b, "# HELP spectrald_warmstart_total Delta-job eigensolves by warm-start outcome.\n# TYPE spectrald_warmstart_total counter\n")
@@ -77,21 +76,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("spectrald_specstore_errors_total", "Persistent store I/O failures.", ss.Errors)
 		gauge("spectrald_specstore_entries", "Entries currently in the persistent store.", ss.Entries)
 	}
-
-	// Shard routing.
-	sh := s.shardStatsSnapshot()
-	if sh.peers > 0 {
-		gauge("spectrald_shard_peers", "Instances in the shard ring (self included).", sh.peers)
-		counter("spectrald_shard_proxied_total", "Spectrum fetches proxied to the owning peer.", sh.proxied)
-		counter("spectrald_shard_proxy_hits_total", "Proxied fetches the owner answered with a spectrum.", sh.proxyHits)
-		counter("spectrald_shard_proxy_misses_total", "Proxied fetches the owner answered 404.", sh.proxyMisses)
-		counter("spectrald_shard_peer_errors_total", "Shard peer calls that failed (peer down or protocol error).", sh.peerErrors)
-		counter("spectrald_shard_offers_sent_total", "Locally computed spectra pushed to their owning peer.", sh.offers)
-	}
-	counter("spectrald_shard_served_fetches_total", "Peer spectrum lookups answered from local tiers.", sh.servedPeerFetches)
-	counter("spectrald_shard_served_misses_total", "Peer spectrum lookups answered 404.", sh.servedPeerMisses)
-	counter("spectrald_shard_adopted_spectra_total", "Peer-offered spectra accepted into local tiers.", sh.adoptedSpectra)
-	counter("spectrald_shard_adopt_rejects_total", "Peer-offered spectra rejected as invalid or with no local tier to keep them.", sh.adoptRejects)
 
 	// Overload control and crash safety.
 	gauge("spectrald_retry_after_seconds", "Current backoff hint quoted to rejected submissions.", st.RetryAfterSeconds)

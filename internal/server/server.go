@@ -28,11 +28,6 @@
 //	GET  /v1/jobs/{id}             job status (includes result when done)
 //	GET  /v1/jobs/{id}/result      result only; 409 until the job is done
 //	DELETE /v1/jobs/{id}           request cancellation
-//	GET  /v1/spectra               shard protocol: serve a cached encoded
-//	                               spectrum (?hash=&model=&pairs=); 404 on miss
-//	PUT  /v1/spectra               shard protocol: accept a peer's computed
-//	                               spectrum (octet-stream body); 404 when
-//	                               neither its netlist nor a store is here
 package server
 
 import (
@@ -72,15 +67,6 @@ type Server struct {
 	start time.Time
 
 	draining atomic.Bool
-
-	// shard, when set via ConfigureSharding, proxies spectrum traffic
-	// to peer instances; the counters track the serving side of that
-	// protocol (see shard.go).
-	shard             *shardClient
-	peerFetchesServed atomic.Uint64
-	peerFetchMisses   atomic.Uint64
-	adoptedSpectra    atomic.Uint64
-	adoptRejects      atomic.Uint64
 }
 
 // New wires a server over a pool (started, or about to be).
@@ -102,11 +88,6 @@ func New(pool *jobs.Pool, cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleGetResult)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	// Shard protocol endpoints (shard.go). Registered unconditionally:
-	// a non-sharded daemon still serves its cached spectra, which is
-	// harmless and lets operators mix configurations during rollout.
-	s.mux.HandleFunc("GET /v1/spectra", s.handleGetSpectrum)
-	s.mux.HandleFunc("PUT /v1/spectra", s.handlePutSpectrum)
 	return s
 }
 

@@ -2,18 +2,17 @@ package speccache
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	spectral "repro"
 	"repro/internal/specstore"
 )
 
-// A peer's offer for a netlist this cache does not hold is kept under
-// the pair count its payload holds, not the count the offer claims: the
-// store never shrinks a key's slot, so an overstated claim would fail
-// every later read of the key and refuse every write-through to it.
-func TestAdoptWithoutNetlistStoresPayloadPairs(t *testing.T) {
+// Fresh caches on one store solve a key once: a request for more pairs
+// than the stored entry holds solves, and its write-through replaces
+// the smaller entry (the store refuses no put), so every later fresh
+// cache is served from the store.
+func TestFreshCachesOnOneStoreSolveOnce(t *testing.T) {
 	h, err := spectral.GenerateBenchmark("prim1", 0.06)
 	if err != nil {
 		t.Fatal(err)
@@ -33,15 +32,8 @@ func TestAdoptWithoutNetlistStoresPayloadPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-
-	if err := New(4, store).Adopt(key, small.Pairs(), data[:len(data)-8], nil); err == nil || errors.Is(err, ErrUnkept) {
-		t.Fatalf("truncated offer: err = %v, want a payload error", err)
-	}
-	if err := New(4, store).Adopt(key, 50, data, nil); err != nil {
+	if err := store.Put(key, specstore.Entry{Pairs: small.Pairs(), Data: data}); err != nil {
 		t.Fatal(err)
-	}
-	if e, ok, _ := store.Get(key); !ok || e.Pairs != small.Pairs() {
-		t.Fatalf("store holds %d pairs, want the payload's %d", e.Pairs, small.Pairs())
 	}
 
 	solves := 0
@@ -51,7 +43,7 @@ func TestAdoptWithoutNetlistStoresPayloadPairs(t *testing.T) {
 	}
 	want := small.Pairs() + 2
 	for i := 0; i < 3; i++ {
-		sp, err := New(4, store).Spectrum(context.Background(), h, key, want, false, solve)
+		sp, err := New(4, store).Spectrum(context.Background(), h, key, want, solve)
 		if err != nil {
 			t.Fatal(err)
 		}

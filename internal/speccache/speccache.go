@@ -15,11 +15,9 @@
 //
 // The LRU is the top rung of the daemon's spectrum tier ladder, and the
 // cache owns the whole ladder (ladder.go): a miss walks the persistent
-// store (internal/specstore), then the shard peer owning the key, then
-// a caller-supplied solve, all inside the singleflight. Everything that
-// enters the LRU from a peer or a solve is written through to the store
-// right then, so an eviction just drops the entry; the only other
-// writer is a peer's offer (Adopt).
+// store (internal/specstore), then a caller-supplied solve, both inside
+// the singleflight. A solve is written through to the store right then,
+// so an eviction just drops the entry.
 package speccache
 
 import (
@@ -130,11 +128,11 @@ type Entry struct {
 // Stats reports cache effectiveness counters.
 type Stats struct {
 	// Hits and Misses count GetOrCompute lookups (jobs); a miss walks
-	// the tiers below the LRU. Peer reads (Bytes) count in neither.
+	// the tiers below the LRU.
 	Hits, Misses, Evictions uint64
-	// StoreHits and RemoteHits count misses the persistent store or a
-	// shard peer served without a solve.
-	StoreHits, RemoteHits uint64
+	// StoreHits counts misses the persistent store served without a
+	// solve.
+	StoreHits uint64
 	// WarmHints counts keys announced via MarkExpected — decompositions
 	// a journal replay said were cached before a restart.
 	WarmHints uint64
@@ -154,13 +152,10 @@ type Cache struct {
 	evicted   uint64
 	warmHints uint64
 
-	// The tiers below the LRU (see ladder.go): store is fixed at New,
-	// remote is attached by SetRemote before traffic. Their hit counters
-	// are atomic because misses walk the tiers outside mu.
-	store      specstore.Store
-	remote     RemoteSpectrum
-	storeHits  atomic.Uint64
-	remoteHits atomic.Uint64
+	// The store is the tier below the LRU (see ladder.go), fixed at New.
+	// Its hit counter is atomic because misses walk it outside mu.
+	store     specstore.Store
+	storeHits atomic.Uint64
 }
 
 type slot struct {
@@ -299,8 +294,7 @@ func (c *Cache) getOrCompute(ctx context.Context, key Key, pairs int, compute fu
 // beyond capacity. Caller holds c.mu. A replacement only ever grows an
 // entry's capacity: computes are sized to the largest outstanding
 // request. An evicted entry is simply dropped: every entry that reached
-// the LRU from a solve or a peer was already written through to the
-// store.
+// the LRU from a solve was already written through to the store.
 func (c *Cache) insert(key Key, e Entry) {
 	if el, ok := c.items[key]; ok {
 		s := el.Value.(*slot)
@@ -343,7 +337,7 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evicted,
-		StoreHits: c.storeHits.Load(), RemoteHits: c.remoteHits.Load(),
+		StoreHits: c.storeHits.Load(),
 		WarmHints: c.warmHints, Entries: c.ll.Len(),
 	}
 }

@@ -40,9 +40,8 @@ type diskHeader struct {
 // ".quarantine" suffix) and reported as misses; the store never fails
 // to open and never returns corrupt data.
 //
-// A Disk store assumes a single writing process per directory; the
-// spectrald sharding layer (one logical cache across instances) is the
-// supported multi-instance topology, not a shared directory.
+// A Disk store assumes a single writing process per directory; a shared
+// directory between instances is not supported.
 type Disk struct {
 	dir string
 

@@ -1,10 +1,9 @@
 // Package specstore is the persistent tier behind the spectrald
 // spectrum cache (internal/speccache): a pluggable content-addressed
-// store of encoded eigendecompositions, so restarts and horizontal
-// scale-out stop recomputing identical O(d·n²) eigensolves. The
-// in-memory LRU stays the hot tier; this package is the durable tier
-// every peer-fetched or solved spectrum is written through to, and that
-// LRU misses repopulate from.
+// store of encoded eigendecompositions, so restarts stop recomputing
+// identical O(d·n²) eigensolves. The in-memory LRU stays the hot tier;
+// this package is the durable tier every solved spectrum is written
+// through to, and that LRU misses repopulate from.
 //
 // Entries are opaque byte payloads (the root package's EncodeSpectrum
 // format) keyed by (netlist fingerprint, clique model) with a recorded

@@ -3,8 +3,7 @@ package spectral
 // This file is the wire/storage codec for Spectrum values: an exact
 // binary encoding of the eigenpairs (bit-patterns of every float64 are
 // preserved verbatim) used by the persistent spectrum store
-// (internal/specstore) and by shard-routed peer lookups between
-// spectrald instances. The clique-model graph inside a Spectrum is NOT
+// (internal/specstore). The clique-model graph inside a Spectrum is NOT
 // encoded — it is a deterministic function of (netlist, model), so the
 // decoder rebuilds it from the netlist the caller supplies. That keeps
 // entries compact (O(n·d) floats, not O(n²) edges) and makes a decoded
@@ -91,15 +90,25 @@ func DecodeSpectrum(data []byte, h *Netlist) (*Spectrum, error) {
 	if h == nil {
 		return nil, fmt.Errorf("spectral: decode spectrum: nil netlist")
 	}
-	hdr, rest, err := readSpecHeader(data)
-	if err != nil {
-		return nil, err
+	// The frame: 1 ≤ pairs ≤ modules and a payload of exactly
+	// (1 + modules) × pairs 8-byte floats.
+	rest, ok := bytes.CutPrefix(data, []byte(specMagic))
+	var v [3]uint64 // modules, model, pairs
+	for i := 0; ok && i < len(v); i++ {
+		var k int
+		v[i], k = binary.Uvarint(rest)
+		ok = k > 0 && v[i] <= math.MaxInt32
+		rest = rest[max(k, 0):]
 	}
-	modules, pairs := hdr.modules, hdr.pairs
+	// Counted in floats, pairs·(modules+1) < 2⁶² cannot overflow.
+	if n := uint64(len(rest)); !ok || v[2] < 1 || v[2] > v[0] || n%8 != 0 || n/8 != v[2]*(v[0]+1) {
+		return nil, errors.New("spectral: decode spectrum: malformed header or payload size")
+	}
+	modules, pairs := int(v[0]), int(v[2])
 	if modules != h.NumModules() {
 		return nil, fmt.Errorf("spectral: decode spectrum: encoded for %d modules, netlist has %d", modules, h.NumModules())
 	}
-	cm, err := Model(hdr.model).clique()
+	cm, err := Model(v[1]).clique()
 	if err != nil {
 		return nil, fmt.Errorf("spectral: decode spectrum: %w", err)
 	}
@@ -127,36 +136,4 @@ func DecodeSpectrum(data []byte, h *Netlist) (*Spectrum, error) {
 		g:       g,
 		dec:     &eigen.Decomposition{Values: values, Vectors: vec},
 	}, nil
-}
-
-// SpectrumPairs returns the pair count in the header of an encoded
-// spectrum, frame checked as DecodeSpectrum checks it, for a holder of
-// the bytes that has no netlist to decode them against.
-func SpectrumPairs(data []byte) (int, error) {
-	hdr, _, err := readSpecHeader(data)
-	return hdr.pairs, err
-}
-
-// specHeader is the header of EncodeSpectrum's layout.
-type specHeader struct{ modules, model, pairs int }
-
-// readSpecHeader parses the header of an encoded spectrum and checks its
-// frame: 1 ≤ pairs ≤ modules and a payload of exactly (1 + modules) ×
-// pairs 8-byte floats, which it returns. It is the one reader of the
-// layout EncodeSpectrum writes.
-func readSpecHeader(data []byte) (specHeader, []byte, error) {
-	rest, ok := bytes.CutPrefix(data, []byte(specMagic))
-	var v [3]uint64 // modules, model, pairs
-	for i := 0; ok && i < len(v); i++ {
-		var k int
-		v[i], k = binary.Uvarint(rest)
-		ok = k > 0 && v[i] <= math.MaxInt32
-		rest = rest[max(k, 0):]
-	}
-	// Counted in floats, pairs·(modules+1) < 2⁶² cannot overflow.
-	modules, pairs, n := v[0], v[2], uint64(len(rest))
-	if !ok || pairs < 1 || pairs > modules || n%8 != 0 || n/8 != pairs*(modules+1) {
-		return specHeader{}, nil, errors.New("spectral: decode spectrum: malformed header or payload size")
-	}
-	return specHeader{int(modules), int(v[1]), int(pairs)}, rest, nil
 }
